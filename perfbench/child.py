@@ -7,7 +7,7 @@ files, runs the workload's CLI commands in-process through
 line of raw measurements for run.py to reduce to metrics.
 
     python3 perfbench/child.py --workload verify-r14 --seed 0 --seconds 10 \
-        --trace 0 --work .perfbench_work/x [--setup-only] [--record]
+        --trace 0 --work .perfbench_work/x [--setup-only] [--record] [--budget S]
 """
 
 from __future__ import annotations
@@ -140,39 +140,53 @@ class Outcome:
 
 
 class ReduceWorkload:
-    """Random weighted and graev specs; plain and pruned reduce of each."""
+    """Random weighted and graev specs; plain and pruned reduce of each.
 
-    alloc_names = ("weighted.plain", "weighted.prune")
+    The pruned search's cost on a rank-20 weighted spec swings tenfold with
+    the draw (35k to 510k candidate evaluations over 60 seeds), on a graev
+    spec by less than half (150k to 290k over 40 seeds, three specs each).
+    With one spec of each, the pruned leg's spread over ten seeds read 0.07
+    to 0.17, so each seed draws three graev specs, which dilute the weighted
+    draw.  The tracemalloc pass covers only the weighted plain reduce: its
+    memo is the reduction layer's peak, and it takes about 40 s under
+    tracemalloc."""
 
-    def __init__(self, rank: int = 20, families=("graev", "weighted")) -> None:
+    SPECS = (("weighted", 1), ("graev", 3))  # family, specs drawn per seed
+    alloc_names = ("weighted0.plain",)
+
+    def __init__(self, rank: int = 20) -> None:
         self.rank = rank
-        self.families = families
+        self.specs = [f"{fam}{i}" for fam, count in self.SPECS for i in range(count)]
 
     def setup(self, bn, seed: int, work: Path) -> None:
         from boolnorm.instances import random_metric_spec, random_weight_spec, rng_from
 
         draw = {"weighted": random_weight_spec, "graev": random_metric_spec}
-        for fam in self.families:
-            spec = draw[fam](rng_from(seed, self.rank, ("weighted", "graev").index(fam)), self.rank)
-            _write_json(work / f"{fam}.json", bn.spec_to_json(spec))
+        for stream, (fam, count) in enumerate(self.SPECS):
+            for i in range(count):
+                spec = draw[fam](rng_from(seed, self.rank, stream, i), self.rank)
+                _write_json(work / f"{fam}{i}.json", bn.spec_to_json(spec))
 
     def commands(self, seed: int, work: Path, par_threads: int) -> list:
+        # Every plain reduce runs before the pruned ones: a pruned graev reduce
+        # leaves 40-90 MB of heap behind in the process, an amount that depends
+        # on the spec, and a plain reduce after it would add that to the peak.
         cmds = []
-        for fam in self.families:
-            for leg, extra in (("primary", []), ("secondary", ["--prune"])):
-                out = work / f"{fam}.{leg}.out.json"
-                argv = ["reduce", "--norm", str(work / f"{fam}.json"), *extra, "--out", str(out)]
-                cmds.append(Command(f"{fam}.{'plain' if not extra else 'prune'}", leg, argv, [out]))
+        for leg, extra in (("primary", []), ("secondary", ["--prune"])):
+            for name in self.specs:
+                out = work / f"{name}.{leg}.out.json"
+                argv = ["reduce", "--norm", str(work / f"{name}.json"), *extra, "--out", str(out)]
+                cmds.append(Command(f"{name}.{'plain' if not extra else 'prune'}", leg, argv, [out]))
         return cmds
 
     def check(self, outcomes: dict, cmds: list) -> None:
         by = cmds_by_name(cmds)
-        for fam in self.families:
-            plain, prune = outcomes.get(f"{fam}.plain"), outcomes.get(f"{fam}.prune")
+        for name in self.specs:
+            plain, prune = outcomes.get(f"{name}.plain"), outcomes.get(f"{name}.prune")
             if plain is None or prune is None or plain.code != 0 or prune.code != 0:
                 continue
-            a = _read_json(by[f"{fam}.plain"].outputs[0])
-            b = _read_json(by[f"{fam}.prune"].outputs[0])
+            a = _read_json(by[f"{name}.plain"].outputs[0])
+            b = _read_json(by[f"{name}.prune"].outputs[0])
             if a["basis"] != b["basis"] or [r["norm"] for r in a["rows"]] != [
                 r["norm"] for r in b["rows"]
             ]:
@@ -239,13 +253,12 @@ class VerifyWorkload:
 class CampaignWorkload:
     """Rank-10 campaigns with every check, at 1 thread and at par threads."""
 
+    FAMILIES = ("closure", "graev", "weighted")
     alloc_names = ("closure.primary",)
 
-    def __init__(self, rank: int = 10, trials: int = 40,
-                 families=("closure", "graev", "weighted")) -> None:
+    def __init__(self, rank: int = 10, trials: int = 40) -> None:
         self.rank = rank
         self.trials = trials
-        self.families = families
 
     def setup(self, bn, seed: int, work: Path) -> None:
         pass  # trials are drawn by the campaign from --seed
@@ -253,7 +266,7 @@ class CampaignWorkload:
     def commands(self, seed: int, work: Path, par_threads: int) -> list:
         cmds = []
         for leg, threads in (("primary", 1), ("secondary", par_threads)):
-            for fam in self.families:
+            for fam in self.FAMILIES:
                 out = work / f"{fam}.{leg}.csv"
                 argv = ["campaign", "--rank", str(self.rank), "--trials", str(self.trials),
                         "--family", fam, "--seed", str(seed), "--threads", str(threads),
@@ -263,7 +276,7 @@ class CampaignWorkload:
 
     def check(self, outcomes: dict, cmds: list) -> None:
         by = cmds_by_name(cmds)
-        for fam in self.families:
+        for fam in self.FAMILIES:
             texts = {}
             for leg in ("primary", "secondary"):
                 name = f"{fam}.{leg}"
@@ -363,43 +376,54 @@ def _layer_values(tracer, absent: dict) -> dict:
     return vals
 
 
-def measure(bn, workload, cmds, seconds: float, trace: bool, expected) -> dict:
-    """Timed rounds until the time is spent; with trace, untraced/traced
-    pairs followed by one tracemalloc pass."""
+def measure(bn, workload, cmds, seconds: float, trace: bool, expected, budget: float) -> dict:
+    """Timed rounds until ``seconds`` are spent.
+
+    With trace, one tracemalloc pass comes first, then an untraced and a
+    traced round, a second traced round, and further untraced/traced pairs
+    while time remains.  The second traced round, which checks that the
+    counts repeat, is skipped only if it would overrun ``budget``."""
     rounds, layers, absent, trials = [], [], {}, []
     rss_mb = None
     start = time.perf_counter()
-    while True:
-        r0 = time.perf_counter()
-        if trace:
-            rounds.append(dict(run_round(bn, workload, cmds, expected, False), traced=False))
-            with Tracer() as tracer:
-                rounds.append(dict(run_round(bn, workload, cmds, expected, False), traced="spans"))
-            layers.append(_layer_values(tracer, absent))
-            trials.extend(tracer.stats.trial_s)
-        else:
-            rounds.append(dict(run_round(bn, workload, cmds, expected), traced=False))
-        if rss_mb is None:
-            # Repeating the commands in one process fragments the heap, so the
-            # peak grows with the round count; report the first pass's peak.
-            rss_mb = _rss_mb()
-        elapsed = time.perf_counter() - start
-        if elapsed + (time.perf_counter() - r0) > seconds:
-            break
-    result = {"rounds": rounds, "rss_mb": rss_mb}
     if trace:
         # tracemalloc slows allocation-heavy commands about tenfold, so this
         # pass covers only the workload's alloc_names.
         alloc_cmds = [c for c in cmds if c.name in workload.alloc_names]
-        with Tracer(alloc=True) as tracer:
+        with Tracer(alloc=True) as alloc:
             rounds.append(dict(run_round(bn, workload, alloc_cmds, expected, False), traced="alloc"))
+    while True:
+        r0 = time.perf_counter()
+        if len(layers) != 1:
+            rounds.append(dict(run_round(bn, workload, cmds, expected, not trace), traced=False))
+        if trace:
+            t0 = time.perf_counter()
+            with Tracer() as tracer:
+                rounds.append(dict(run_round(bn, workload, cmds, expected, False), traced="spans"))
+            traced_s = time.perf_counter() - t0
+            layers.append(_layer_values(tracer, absent))
+            trials.extend(tracer.stats.trial_s)
+        if rss_mb is None:
+            # Repeating the commands in one process fragments the heap, so the
+            # peak grows with the round count; report the first pass's peak.
+            rss_mb = _rss_mb()
+        now = time.perf_counter()
+        if len(layers) == 1:
+            if now - start + 1.2 * traced_s > budget:
+                break
+        elif now - start + (now - r0) > seconds:
+            break
+    result = {"rounds": rounds, "rss_mb": rss_mb}
+    if trace:
         # Times are medians over the traced rounds; counts must repeat exactly.
         per_layer = {k: statistics.median(d[k] for d in layers) for k in layers[0]}
         per_layer.update({k: layers[0][k] for k in COUNT_METRICS})
-        counts_repeat = all(d[k] == layers[0][k] for d in layers for k in COUNT_METRICS)
+        counts_repeat = None
+        if len(layers) >= 2:
+            counts_repeat = all(d[k] == layers[0][k] for d in layers for k in COUNT_METRICS)
         for layer in ALLOC_LAYERS:
-            per_layer[f"{layer}.peak_alloc_mb"] = tracer.stats.peak_alloc[layer] / 2**20
-            if layer not in tracer.stats.seen:
+            per_layer[f"{layer}.peak_alloc_mb"] = alloc.stats.peak_alloc[layer] / 2**20
+            if layer not in alloc.stats.seen:
                 absent[f"{layer}.peak_alloc_mb"] = f"no traced boolnorm.{layer} call ran"
         trials = sorted(trials)
         if len(trials) >= 2:
@@ -412,7 +436,7 @@ def measure(bn, workload, cmds, seconds: float, trace: bool, expected) -> dict:
                 "no campaign.run_trial at 1 thread ran in this workload"
             )
         result.update(per_layer=per_layer, absent=absent, trial_samples=len(trials),
-                      counts_repeat=counts_repeat)
+                      traced_rounds=len(layers), counts_repeat=counts_repeat)
     return result
 
 
@@ -425,6 +449,9 @@ def main(argv=None) -> int:
     parser.add_argument("--work", required=True, help="scratch directory inside the checkout")
     parser.add_argument("--setup-only", action="store_true")
     parser.add_argument("--record", action="store_true", help="skip the digest comparison")
+    parser.add_argument("--budget", type=float, default=float("inf"),
+                        help="trace: seconds the measurement may take (run.py passes what "
+                        "is left of its time limit)")
     args = parser.parse_args(argv)
 
     work = Path(args.work)
@@ -444,7 +471,8 @@ def main(argv=None) -> int:
         if args.seed == DEFAULT_SEED and not args.record:
             expected = _read_json(DIGESTS).get(args.workload, {})
         cmds = workload.commands(args.seed, work, par_threads())
-        report.update(measure(bn, workload, cmds, args.seconds, bool(args.trace), expected))
+        report.update(measure(bn, workload, cmds, args.seconds, bool(args.trace), expected,
+                              args.budget))
         report["numpy"] = numpy.__version__
     print(json.dumps(report))
     return 0

@@ -7,7 +7,9 @@ tracer robustness, compare verdicts and the invariants at a held-out seed.
 from __future__ import annotations
 
 import json
+import re
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +126,14 @@ def test_counts_repeat_across_traced_runs(name, tmp_path):
     assert any(first.values())
 
 
+def test_trace_run_has_two_traced_rounds_unless_over_budget(tmp_path):
+    wl, cmds = _prepare("verify-r14", tmp_path)
+    full = child.measure(bn, wl, cmds, 0, True, None, budget=float("inf"))
+    assert full["traced_rounds"] == 2 and full["counts_repeat"] is True
+    short = child.measure(bn, wl, cmds, 0, True, None, budget=0)
+    assert short["traced_rounds"] == 1 and short["counts_repeat"] is None
+
+
 def test_tracer_restores_functions_and_tolerates_missing(tmp_path, monkeypatch):
     original = bn.cli.check_norm_axioms
     monkeypatch.delattr(bn.norms, "restrict_oracle")
@@ -138,11 +148,46 @@ def test_tracer_restores_functions_and_tolerates_missing(tmp_path, monkeypatch):
     assert tr.stats.counts["norms.axioms_pairs"] > 0
 
 
+def _extra_work() -> None:
+    """About 0.8 s of allocation-heavy pure-Python work."""
+    for _ in range(3):
+        table = {i: (i * 2654435761) % 1_000_003 for i in range(700_000)}
+        sorted(table.values())
+
+
+def test_injected_work_shows_in_scaled_time(tmp_path, monkeypatch):
+    """A fixed amount of extra work in cli.main raises the scaled time of a
+    full-size command by about what that work costs on its own, so the speed
+    probe, which shares the process's heap, does not cancel a slowdown."""
+    wl = child.ReduceWorkload()
+    wl.setup(bn, 3, tmp_path)
+    cmd = {c.name: c for c in wl.commands(3, tmp_path, 2)}["weighted0.prune"]
+    real_main = bn.cli.main
+
+    def slowed(argv):
+        _extra_work()
+        return real_main(argv)
+
+    base, slow, alone = [], [], []
+    for _ in range(5):
+        base.append(child.run_command(bn, cmd).scaled)
+        with monkeypatch.context() as m:
+            m.setattr(bn.cli, "main", slowed)
+            slow.append(child.run_command(bn, cmd).scaled)
+        with child.SpeedProbe() as probe:
+            _extra_work()
+        alone.append(probe.scaled)
+    added = statistics.median(slow) - statistics.median(base)
+    assert 0.75 < added / statistics.median(alone) < 1.25, (base, slow, alone)
+
+
 def test_compare_flags_regression_and_unresolved(tmp_path, capsys):
     def results(primary: list, secondary: list) -> dict:
+        # Wall seconds stay at 1.0, so the wall B/A column reads 1.000.
         runs = [
             {"metrics": {"primary_s": {"value": p, "unit": "s"},
-                         "secondary_s": {"value": s, "unit": "s"}}}
+                         "secondary_s": {"value": s, "unit": "s"}},
+             "info": {"named": {"primary_wall_s": 1.0, "secondary_wall_s": 1.0}}}
             for p, s in zip(primary, secondary)
         ]
         return {"results": {"verify-r14": {"trace0": runs, "trace1": []}}}
@@ -155,6 +200,7 @@ def test_compare_flags_regression_and_unresolved(tmp_path, capsys):
     primary = next(line for line in out.splitlines() if " primary_s " in line)
     secondary = next(line for line in out.splitlines() if " secondary_s " in line)
     assert "WORSE" in primary
+    assert re.search(r" 1\.500 +1\.000 +WORSE", primary)
     assert "unresolved" in secondary
 
 
