@@ -10,10 +10,13 @@ equality is element equality.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
-from .errors import NotInSpanError, StratumRangeError
+import numpy as np
+
+from .errors import NotInSpanError, RankTooLargeError, StratumRangeError
 
 Element = int
 
@@ -34,6 +37,8 @@ def from_support(indices: Iterable[int]) -> Element:
 
 def support(g: Element) -> tuple[int, ...]:
     """Sorted generator indices of g; empty for the zero element."""
+    if g < 0:
+        raise ValueError(f"element mask must be nonnegative, got {g}")
     out = []
     while g:
         low = g & -g
@@ -204,6 +209,26 @@ def enumerate_stratum(
             yield from itertools.combinations(range(1, rank + 1), m)
 
     return generate()
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Refuse an allocation of nbytes that physical memory could not hold."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > physical:
+        raise RankTooLargeError(
+            f"{what} needs {nbytes} bytes, physical memory is {physical} bytes"
+        )
+
+
+def span_elements(rows: Sequence[Element]) -> np.ndarray:
+    """span[c] = sum of the rows selected by coordinate mask c, for every
+    c < 2**len(rows), built by doubling: span[2^j : 2^(j+1)] = span[:2^j] + row j."""
+    k = len(rows)
+    require_memory(8 << k, f"the span of {k} rows")
+    span = np.zeros(1 << k, dtype=np.int64)
+    for j, row in enumerate(rows):
+        span[1 << j : 2 << j] = span[: 1 << j] ^ row
+    return span
 
 
 def gf2_rank(rows: Iterable[int]) -> int:

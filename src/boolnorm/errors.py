@@ -25,6 +25,10 @@ class RankTooLargeError(BoolnormError):
     code = "rank-too-large"
 
 
+class NanNormError(BoolnormError):
+    code = "nan-norm"
+
+
 class SearchBoundExceededError(BoolnormError):
     code = "search-bound-exceeded"
 

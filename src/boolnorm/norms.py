@@ -2,19 +2,20 @@
 
 Three constructions are provided: weighted letter norms, basepoint-pairing
 norms over a finite metric space, and subadditive-closure norms obtained by
-relaxing an arbitrary positive cost table.  A NormOracle memoizes values per
-canonical element and can materialize the full truncation table for
-exhaustive checks.
+relaxing an arbitrary positive cost table.  A NormOracle is one dense
+float64 table per truncation; weighted and pairing norms fill it with
+vectorized recurrences.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra import Basis, Element, from_support, support
+from .algebra import Basis, Element, from_support, require_memory, span_elements, support
 from .errors import IndexOutOfRankError, RankTooLargeError
 
 RELATIVE_TOLERANCE = 1e-9
@@ -142,13 +143,22 @@ class BaseCostTable:
         }
 
 
-class NormOracle:
-    """Total nonnegative map on a rank-n truncation.
+def _require_in_rank(g: Element, rank: int) -> None:
+    if g < 0:
+        raise IndexOutOfRankError(f"element mask {g} is negative")
+    if g >> rank:
+        raise IndexOutOfRankError(f"support of {support(g)} exceeds rank {rank}")
 
-    Values are memoized per canonical element, and table() materializes all
-    2**rank values for exhaustive checks.  Construction performs no axiom
-    validation on purpose: raw cost tables must be runnable through the same
-    checkers as genuine norms.
+
+class NormOracle:
+    """Total nonnegative map on a rank-n truncation, stored as one dense
+    float64 table indexed by element mask.
+
+    Oracles built from a spec or a function materialize lazily and only the
+    prefix a caller needs: the values on generators 1..m are the first 2**m
+    entries, so a query below 2**m never builds the rest.  Construction
+    performs no axiom validation on purpose: raw cost tables must be
+    runnable through the same checkers as genuine norms.
     """
 
     def __init__(
@@ -157,58 +167,64 @@ class NormOracle:
         fn: Callable[[Element], float] | None = None,
         table: np.ndarray | None = None,
         kind: str = "custom",
+        build: Callable[[int], np.ndarray] | None = None,
     ) -> None:
+        """Exactly one source of values: fn (one element to its value),
+        table (all 2**rank values) or build (m to the table over generators
+        1..m)."""
         if rank < 1:
             raise ValueError("rank must be >= 1")
-        if fn is None and table is None:
-            raise ValueError("either fn or table is required")
+        if (fn is None) + (table is None) + (build is None) != 2:
+            raise ValueError("exactly one of fn, table or build is required")
         self.rank = rank
         self.kind = kind
-        self._fn = fn
         self._array: np.ndarray | None = None
-        self._list: list[float] | None = None
+        self._lock = threading.Lock()
+        if fn is not None:
+            build = lambda m: np.fromiter(map(fn, range(1 << m)), dtype=float, count=1 << m)  # noqa: E731
+        self._build = build
         if table is not None:
             arr = np.asarray(table, dtype=float)
             if arr.shape != (1 << rank,):
                 raise ValueError(f"table must have 2**{rank} entries")
             self._array = arr
-            self._list = arr.tolist()
-        self._memo: dict[int, float] = {0: 0.0}
+
+    def _prefix(self, m: int) -> np.ndarray:
+        """Values on generators 1..m: the first 2**m table entries."""
+        arr = self._array
+        if arr is None or arr.size < 1 << m:
+            with self._lock:
+                arr = self._array
+                if arr is None or arr.size < 1 << m:
+                    require_memory(8 << m, f"a rank-{m} norm table")
+                    arr = self._array = np.asarray(self._build(m), dtype=float)
+        return arr[: 1 << m]
 
     def __call__(self, g: Element) -> float:
-        vals = self._list
-        if vals is not None:
-            if g >> self.rank or g < 0:
-                raise IndexOutOfRankError(f"support of {support(g)} exceeds rank {self.rank}")
-            return vals[g]
-        v = self._memo.get(g)
-        if v is None:
-            if g >> self.rank or g < 0:
-                raise IndexOutOfRankError(f"support of {support(g)} exceeds rank {self.rank}")
-            v = self._memo[g] = float(self._fn(g))
-        return v
+        arr = self._array
+        if arr is None or not 0 <= g < arr.size:
+            _require_in_rank(g, self.rank)
+            arr = self._prefix(int(g).bit_length())
+        return arr.item(g)
 
     def table(self) -> np.ndarray:
         """All 2**rank values indexed by element mask (built on demand)."""
-        if self._array is None:
-            arr = np.fromiter(
-                (self(g) for g in range(1 << self.rank)), dtype=float, count=1 << self.rank
-            )
-            self._array = arr
-            self._list = arr.tolist()
-        return self._array
+        return self._prefix(self.rank)
 
     def values(self, masks: np.ndarray) -> np.ndarray:
         """Vectorized lookup for an array of element masks."""
-        if self._array is not None:
-            return self._array[masks]
-        return np.fromiter((self(int(m)) for m in masks), dtype=float, count=len(masks))
+        masks = np.asarray(masks)
+        if masks.size == 0:
+            return np.empty(masks.shape, dtype=float)
+        top = int(masks.max())
+        _require_in_rank(int(masks.min()), self.rank)
+        _require_in_rank(top, self.rank)
+        return self._prefix(top.bit_length())[masks]
 
 
 def weighted_norm(spec: WeightSpec, g: Element) -> float:
     """Sum of the letter weights occurring in g."""
-    if g >> spec.rank or g < 0:
-        raise IndexOutOfRankError(f"support of {support(g)} exceeds rank {spec.rank}")
+    _require_in_rank(g, spec.rank)
     w = spec.weights
     total = 0.0
     while g:
@@ -218,8 +234,19 @@ def weighted_norm(spec: WeightSpec, g: Element) -> float:
     return total
 
 
+def _weighted_table(weights: tuple[float, ...], m: int) -> np.ndarray:
+    # Doubling adds weight i to every mask below 2^i, so each mask sums its
+    # weights in ascending letter order, exactly as weighted_norm does.
+    t = np.zeros(1 << m)
+    for i in range(m):
+        t[1 << i : 2 << i] = t[: 1 << i] + weights[i]
+    return t
+
+
 def weighted_oracle(spec: WeightSpec) -> NormOracle:
-    return NormOracle(spec.rank, fn=lambda g: weighted_norm(spec, g), kind="weighted")
+    return NormOracle(
+        spec.rank, build=lambda m: _weighted_table(spec.weights, m), kind="weighted"
+    )
 
 
 def _pairing_cost(dist: tuple[tuple[float, ...], ...], mask: int, memo: dict[int, float]) -> float:
@@ -248,14 +275,32 @@ def graev_norm(spec: MetricSpec, g: Element) -> float:
     """Minimum total distance over pairings of the letters of g, where any
     letter may instead pair with the basepoint 0 (extra basepoint pairs are
     free)."""
-    if g >> spec.rank or g < 0:
-        raise IndexOutOfRankError(f"support of {support(g)} exceeds rank {spec.rank}")
+    _require_in_rank(g, spec.rank)
     return _pairing_cost(spec.dist, g, {0: 0.0})
 
 
+def _graev_table(dist: tuple[tuple[float, ...], ...], m: int) -> np.ndarray:
+    # _pairing_cost vectorized over all masks whose lowest letter is i, from
+    # the top letter down: those masks are the odd multiples of 2^(i-1), and
+    # their remainders (the multiples of 2^i) only hold letters above i, so
+    # they are final when letter i is reached.  The sums are the scalar
+    # DP's, term for term.
+    t = np.zeros(1 << m)
+    for i in range(m, 0, -1):
+        step = 1 << i
+        rest = t[::step]  # rest[r] = value at mask r * 2^i
+        best = dist[i][0] + rest
+        for p in range(m - i):
+            # masks whose remainder holds letter j = i + 1 + p: bit p of r
+            pairs = rest.reshape(-1, 2, 1 << p)[:, 0, :]
+            with_j = best.reshape(-1, 2, 1 << p)[:, 1, :]
+            np.minimum(with_j, dist[i][i + 1 + p] + pairs, out=with_j)
+        t[step >> 1 :: step] = best
+    return t
+
+
 def graev_oracle(spec: MetricSpec) -> NormOracle:
-    memo: dict[int, float] = {0: 0.0}
-    return NormOracle(spec.rank, fn=lambda g: _pairing_cost(spec.dist, g, memo), kind="graev")
+    return NormOracle(spec.rank, build=lambda m: _graev_table(spec.dist, m), kind="graev")
 
 
 def closure_norm(base: BaseCostTable, *, rank_bound: int = EXHAUSTIVE_RANK_BOUND) -> NormOracle:
@@ -299,26 +344,18 @@ def coordinate_norm(basis: Basis, oracle: NormOracle) -> NormOracle:
     mask c is the norm of the element the coordinates select.  This is again
     a norm because coordinates <-> elements is a group isomorphism."""
     rows = basis.rows
-
-    def fn(c: int) -> float:
-        g = 0
-        m = c
-        while m:
-            low = m & -m
-            g ^= rows[low.bit_length() - 1]
-            m ^= low
-        return oracle(g)
-
-    return NormOracle(len(rows), fn=fn, kind=f"coords[{oracle.kind}]")
+    return NormOracle(
+        len(rows), table=oracle.values(span_elements(rows)), kind=f"coords[{oracle.kind}]"
+    )
 
 
 def restrict_oracle(oracle: NormOracle, rank: int) -> NormOracle:
-    """View of the oracle on a smaller truncation."""
+    """The oracle on a smaller truncation: the first 2**rank table entries."""
     if rank > oracle.rank:
         raise ValueError(f"cannot restrict rank-{oracle.rank} oracle to rank {rank}")
     if rank == oracle.rank:
         return oracle
-    return NormOracle(rank, fn=oracle, kind=oracle.kind)
+    return NormOracle(rank, table=oracle._prefix(rank), kind=oracle.kind)
 
 
 @dataclass(frozen=True)
@@ -357,8 +394,9 @@ def check_norm_axioms(
     rank_bound: int = EXHAUSTIVE_RANK_BOUND,
 ) -> AxiomReport:
     """Exhaustive axiom check over the truncation: zero exactly at zero,
-    positive elsewhere, and subadditive on every ordered pair up to relative
-    tolerance.  The first violating case (in mask order) is reported."""
+    finite and positive elsewhere, and subadditive on every ordered pair up
+    to relative tolerance.  The first violating case (in mask order) is
+    reported."""
     n = oracle.rank
     if n > rank_bound:
         raise RankTooLargeError(f"axiom check needs 4**{n} pairs, bound is rank {rank_bound}")
@@ -367,24 +405,35 @@ def check_norm_axioms(
     t = oracle.table()
     if t[0] != 0.0:
         return AxiomReport(False, pairs, AxiomViolation("zero", (), None, float(t[0]), 0.0))
-    nonpos = np.nonzero(t[1:] <= 0.0)[0]
-    if nonpos.size:
-        g = int(nonpos[0]) + 1
-        return AxiomReport(
-            False, pairs, AxiomViolation("positivity", support(g), None, float(t[g]), 0.0)
-        )
+    for axiom, bad, bound in (
+        ("finite", ~np.isfinite(t), float("inf")),
+        ("positivity", t <= 0.0, 0.0),
+    ):
+        bad[0] = False
+        if bad.any():
+            g = int(np.argmax(bad))
+            return AxiomReport(
+                False, pairs, AxiomViolation(axiom, support(g), None, float(t[g]), bound)
+            )
+    # bad(g, h) is symmetric (IEEE addition commutes), so scanning h >= g
+    # suffices: a violation at h < g would have been found in row h first.
+    # The values are now finite and nonnegative, so rhs + tol * max >= rhs
+    # and only pairs with lhs > rhs can be bad.
     idx = np.arange(size)
     for g in range(size):
-        lhs = t[idx ^ g]
-        rhs = t[g] + t
-        bad = lhs > rhs + tol * np.maximum(lhs, rhs)
+        lhs = t[idx[g:] ^ g]
+        rhs = t[g] + t[g:]
+        over = lhs > rhs
+        if not over.any():
+            continue
+        bad = over & (lhs > rhs + tol * np.maximum(lhs, rhs))
         if bad.any():
-            h = int(np.argmax(bad))
+            h = g + int(np.argmax(bad))
             return AxiomReport(
                 False,
                 pairs,
                 AxiomViolation(
-                    "subadditivity", support(g), support(h), float(lhs[h]), float(t[g] + t[h])
+                    "subadditivity", support(g), support(h), float(t[g ^ h]), float(t[g] + t[h])
                 ),
             )
     return AxiomReport(True, pairs, None)

@@ -10,9 +10,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .algebra import Element, TriangularBasis, gf2_rank, support
-from .errors import SearchBoundExceededError
-from .norms import NormOracle
+import numpy as np
+
+from .algebra import Element, TriangularBasis, gf2_rank, require_memory, span_elements, support
+from .errors import NanNormError, SearchBoundExceededError
+from .norms import NormOracle, restrict_oracle
 
 DEFAULT_SEARCH_BOUND = 24
 SEARCH_BOUND_ENV = "BOOLNORM_SEARCH_BOUND"
@@ -61,10 +63,28 @@ class RowRecord:
     candidates_evaluated: int
 
 
+def _reject_nan(values: np.ndarray, members: np.ndarray | None = None) -> None:
+    # NaN compares false both ways, so no search order could rank it.
+    nan = np.isnan(values)
+    if nan.any():
+        i = int(np.argmax(nan))
+        g = i if members is None else int(members[i])
+        raise NanNormError(f"norm of {support(g)} is NaN; the coset minimum is undefined")
+
+
+def _argmin_dense(members: np.ndarray, values: np.ndarray) -> tuple[Element, float]:
+    # Minimum norm, then lexicographically smallest support among the ties.
+    best = values.min()
+    ties = members[values == best]
+    elem = int(ties[0]) if ties.size == 1 else min(map(int, ties), key=support)
+    return elem, float(best)
+
+
 def _argmin_exhaustive(
     oracle: NormOracle, offset: Element, rows: tuple[Element, ...]
 ) -> tuple[Element, float, int]:
     # Gray-code walk over all 2**k coset members: each step flips one row.
+    # The reference that the dense search is tested against.
     best = offset
     best_norm = oracle(offset)
     best_support: tuple[int, ...] | None = None
@@ -143,8 +163,12 @@ def coset_argmin(
         raise SearchBoundExceededError(
             f"coset spans {len(coset.span_rows)} rows, search bound is {limit}"
         )
-    search = _argmin_pruned if prune else _argmin_exhaustive
-    return search(oracle, coset.offset, coset.span_rows)[0]
+    members = span_elements(coset.span_rows) ^ coset.offset
+    values = oracle.values(members)
+    _reject_nan(values, members)
+    if prune:
+        return _argmin_pruned(oracle, coset.offset, coset.span_rows)[0]
+    return _argmin_dense(members, values)[0]
 
 
 def reduce_basis_report(
@@ -159,6 +183,8 @@ def reduce_basis_report(
     Row 1 is the first generator; row k+1 minimizes the norm over the coset
     of generator k+1 by span(rows 1..k).  The output is unitriangular by
     construction: every coset member contains index k+1 and nothing above.
+    The plain search takes the minimum over the dense norm table at all
+    2**k coset members at once; the pruned one walks them depth first.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -167,14 +193,26 @@ def reduce_basis_report(
     limit = search_bound(bound)
     if rank > limit:
         raise SearchBoundExceededError(f"rank {rank} exceeds search bound {limit}")
-    search = _argmin_pruned if prune else _argmin_exhaustive
+    table = restrict_oracle(oracle, rank).table()
+    _reject_nan(table)
+    if not prune:
+        # span[c] = sum of the rows selected by c, doubled as rows arrive.
+        require_memory(8 << (rank - 1), f"the span of {rank - 1} rows")
+        span = np.zeros(1 << (rank - 1), dtype=np.int64)
     rows: list[Element] = []
     records: list[RowRecord] = []
     for k in range(1, rank + 1):
-        span = tuple(rows)
-        elem, norm, evaluated = search(oracle, 1 << (k - 1), span)
+        size = 1 << (k - 1)
+        if prune:
+            elem, norm, evaluated = _argmin_pruned(oracle, size, tuple(rows))
+        else:
+            members = span[:size] ^ size
+            elem, norm = _argmin_dense(members, table[members])
+            evaluated = size
+            if k < rank:
+                span[size : 2 * size] = span[:size] ^ elem
         rows.append(elem)
-        records.append(RowRecord(k, support(elem), norm, 1 << len(span), evaluated))
+        records.append(RowRecord(k, support(elem), norm, size, evaluated))
     return TriangularBasis(tuple(rows)), records
 
 

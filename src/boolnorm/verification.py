@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebra import Basis, support
+from .algebra import Basis, span_elements, support
 from .errors import RankTooLargeError, StratumRangeError
 from .norms import EXHAUSTIVE_RANK_BOUND, RELATIVE_TOLERANCE, NormOracle
 
@@ -60,15 +60,9 @@ def _guard_rank(basis: Basis, rank_bound: int) -> int:
     return r
 
 
-def _coordinate_tables(basis: Basis, oracle: NormOracle) -> tuple[np.ndarray, np.ndarray]:
-    """elems[c] = element selected by coordinate mask c; vals[c] = its norm."""
-    rows = basis.rows
-    size = 1 << len(rows)
-    elems = [0] * size
-    for c in range(1, size):
-        elems[c] = elems[c & (c - 1)] ^ rows[(c & -c).bit_length() - 1]
-    elem_arr = np.array(elems, dtype=np.int64)
-    return elem_arr, oracle.values(elem_arr)
+def _coordinate_values(basis: Basis, oracle: NormOracle) -> np.ndarray:
+    """vals[c] = norm of the element selected by coordinate mask c."""
+    return oracle.values(span_elements(basis.rows))
 
 
 def _row_norms(vals: np.ndarray, r: int) -> list[float]:
@@ -85,7 +79,7 @@ def check_monotone_tail(
     """Top-letter bound: for every nonempty coordinate set, the norm of the
     highest-index row never exceeds the norm of the set's sum."""
     r = _guard_rank(basis, rank_bound)
-    _, vals = _coordinate_tables(basis, oracle)
+    vals = _coordinate_values(basis, oracle)
     row_norm = _row_norms(vals, r)
     violations: list[Violation] = []
     for c in range(1, 1 << r):
@@ -106,7 +100,7 @@ def check_geometric_bound(
     """Doubling bound: in any reduced word, the k-th letter from the top
     costs at most 2**k times the word."""
     r = _guard_rank(basis, rank_bound)
-    _, vals = _coordinate_tables(basis, oracle)
+    vals = _coordinate_values(basis, oracle)
     row_norm = _row_norms(vals, r)
     checked = 0
     violations: list[Violation] = []
@@ -134,7 +128,7 @@ def worst_geometric_ratio(
     length >= 2; <= 1 exactly when the doubling bound holds there.  Single
     letters are skipped because their depth-0 case is an exact identity."""
     r = _guard_rank(basis, rank_bound)
-    _, vals = _coordinate_tables(basis, oracle)
+    vals = _coordinate_values(basis, oracle)
     row_norm = _row_norms(vals, r)
     worst = 0.0
     for c in range(1, 1 << r):
@@ -205,7 +199,7 @@ def check_discreteness(
     r = _guard_rank(basis, rank_bound)
     if n > r:
         raise StratumRangeError(f"stratum length {n} exceeds rank {r}")
-    _, vals = _coordinate_tables(basis, oracle)
+    vals = _coordinate_values(basis, oracle)
     row_norm = _row_norms(vals, r)
     size = 1 << r
     pop = _popcounts(size)
@@ -246,7 +240,7 @@ def check_closedness(
     r = _guard_rank(basis, rank_bound)
     if n > r:
         raise StratumRangeError(f"stratum length {n} exceeds rank {r}")
-    _, vals = _coordinate_tables(basis, oracle)
+    vals = _coordinate_values(basis, oracle)
     row_norm = _row_norms(vals, r)
     size = 1 << r
     pop = _popcounts(size)

@@ -65,6 +65,8 @@ def test_support_round_trip():
     assert support(from_support([9, 2, 7])) == (2, 7, 9)
     assert support(0) == ()
     with pytest.raises(ValueError):
+        support(-2)
+    with pytest.raises(ValueError):
         from_support([0])
     with pytest.raises(ValueError):
         from_support([3, 3])

@@ -191,3 +191,22 @@ def test_reduce_prune_matches_plain(tmp_path, norm_a_file):
     assert main(["reduce", "--norm", norm_a_file, "--out", str(out1)]) == 0
     assert main(["reduce", "--norm", norm_a_file, "--prune", "--out", str(out2)]) == 0
     assert read_json(out1)["basis"] == read_json(out2)["basis"]
+
+
+def test_reduce_beyond_physical_memory_is_an_input_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("BOOLNORM_SEARCH_BOUND", "40")
+    norm = write_json(tmp_path / "w40.json", {"kind": "weighted", "weights": [1.0] * 40})
+    assert main(["reduce", "--norm", norm]) == 2
+    assert "error[rank-too-large]" in capsys.readouterr().err
+
+
+def test_large_spec_at_small_rank_builds_only_that_prefix(tmp_path):
+    norm = write_json(
+        tmp_path / "w30.json", {"kind": "weighted", "weights": [1.0 + i / 30 for i in range(30)]}
+    )
+    out = tmp_path / "basis.json"
+    assert main(["reduce", "--norm", norm, "--rank", "10", "--out", str(out)]) == 0
+    assert read_json(out)["basis"] == [[j] for j in range(1, 11)]
+    report = tmp_path / "report.json"
+    assert main(["verify", "--norm", norm, "--rank", "8", "--out", str(report)]) == 0
+    assert read_json(report)["pass"] is True

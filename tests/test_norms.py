@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from hypothesis import strategies as st
 
 from boolnorm import (
     BaseCostTable,
+    GeneralBasis,
     IndexOutOfRankError,
     MetricSpec,
     NormOracle,
     RankTooLargeError,
+    TriangularBasis,
     WeightSpec,
     check_norm_axioms,
     closure_norm,
@@ -28,7 +31,7 @@ from boolnorm import (
     weighted_norm,
     weighted_oracle,
 )
-from boolnorm.instances import random_base_table, random_metric_spec, rng_from
+from boolnorm.instances import random_base_table, random_metric_spec, random_norm, rng_from
 
 
 def pairing_min(dist, letters):
@@ -285,3 +288,159 @@ def test_oracle_memo_is_thread_consistent():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(shared, list(range(1 << 8)) * 4))
     assert results == expected * 4
+
+
+def full_scan_axioms(table, tol=1e-9):
+    """Reference: the subadditivity scan over every ordered pair, row by
+    row in mask order; the first (g, h, lhs, rhs) that fails, else None."""
+    t = np.asarray(table, dtype=float)
+    idx = np.arange(t.size)
+    for g in range(t.size):
+        lhs = t[idx ^ g]
+        rhs = t[g] + t
+        bad = lhs > rhs + tol * np.maximum(lhs, rhs)
+        if bad.any():
+            h = int(np.argmax(bad))
+            return support(g), support(h), float(lhs[h]), float(t[g] + t[h])
+    return None
+
+
+def small_metric(rank, edges):
+    """Shortest-path metric on points 0..rank from integer edge costs, so
+    that pairing costs tie often."""
+    m = rank + 1
+    d = np.zeros((m, m))
+    it = iter(edges)
+    for i in range(m):
+        for j in range(i + 1, m):
+            d[i, j] = d[j, i] = next(it)
+    for k in range(m):
+        d = np.minimum(d, d[:, [k]] + d[[k], :])
+    return MetricSpec(tuple(tuple(float(x) for x in row) for row in d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_subadditivity_upper_triangle_matches_full_scan(data):
+    rank = data.draw(st.integers(min_value=1, max_value=5))
+    costs = data.draw(
+        st.lists(
+            st.sampled_from([1.0, 2.0, 3.0, 0.5, 1.0 + 1e-10, 7.25]),
+            min_size=(1 << rank) - 1,
+            max_size=(1 << rank) - 1,
+        )
+    )
+    table = [0.0] + costs
+    report = check_norm_axioms(NormOracle(rank, table=np.array(table)))
+    assert report.pairs_checked == 4**rank
+    expected = full_scan_axioms(table)
+    if expected is None:
+        assert report.passed
+    else:
+        v = report.violation
+        assert v.axiom == "subadditivity"
+        assert (v.g, v.h, v.lhs, v.rhs) == expected
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_axiom_checker_flags_non_finite_values(bad):
+    report = check_norm_axioms(NormOracle(2, table=np.array([0.0, 1.0, bad, 2.0])))
+    assert not report.passed
+    assert report.violation.axiom == "finite"
+    assert report.violation.g == (2,)
+    fn_oracle = NormOracle(3, fn=lambda g: bad if g == 5 else float(g.bit_count()))
+    assert check_norm_axioms(fn_oracle).violation.g == (1, 3)
+    # a non-finite value is reported before a nonpositive one
+    both = NormOracle(2, table=np.array([0.0, -1.0, bad, 2.0]))
+    assert check_norm_axioms(both).violation.axiom == "finite"
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_weighted_table_equals_scalar_norm(data):
+    weights = data.draw(st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=1, max_size=10))
+    spec = WeightSpec(tuple(weights))
+    expected = [weighted_norm(spec, g) for g in range(1 << spec.rank)]
+    assert np.array_equal(weighted_oracle(spec).table(), expected)
+    m = data.draw(st.integers(min_value=1, max_value=spec.rank))
+    assert np.array_equal(restrict_oracle(weighted_oracle(spec), m).table(), expected[: 1 << m])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_graev_table_equals_scalar_norm(data):
+    rank = data.draw(st.integers(min_value=1, max_value=7))
+    if data.draw(st.booleans()):
+        spec = random_metric_spec(rng_from(data.draw(st.integers(0, 10**6)), 0), rank)
+    else:
+        n_edges = (rank + 1) * rank // 2
+        edges = data.draw(st.lists(st.integers(1, 3), min_size=n_edges, max_size=n_edges))
+        spec = small_metric(rank, edges)
+    expected = [graev_norm(spec, g) for g in range(1 << rank)]
+    assert np.array_equal(graev_oracle(spec).table(), expected)
+
+
+def per_element_coordinate_values(basis, oracle):
+    """Reference: walk the set bits of every coordinate mask."""
+    out = []
+    for c in range(1 << len(basis.rows)):
+        g = 0
+        for pos in support(c):
+            g ^= basis.rows[pos - 1]
+        out.append(oracle(g))
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_coordinate_norm_and_restriction_match_per_element(data):
+    rank = data.draw(st.integers(min_value=1, max_value=7))
+    family = data.draw(st.sampled_from(["weighted", "graev", "closure"]))
+    _, oracle = random_norm(rng_from(data.draw(st.integers(0, 10**6)), 1), rank, family)
+    m = data.draw(st.integers(min_value=1, max_value=rank))
+    restricted = restrict_oracle(oracle, m)
+    assert restricted.rank == m
+    assert restricted.table().tolist() == [oracle(g) for g in range(1 << m)]
+    assert restricted.table().tolist() == NormOracle(m, fn=oracle).table().tolist()
+
+    rows = data.draw(st.lists(st.integers(0, (1 << rank) - 1), min_size=1, max_size=rank))
+    triangular = tuple((1 << j) | (r & ((1 << j) - 1)) for j, r in enumerate(rows))
+    for basis in (GeneralBasis(tuple(rows)), TriangularBasis(triangular)):
+        comp = coordinate_norm(basis, oracle)
+        assert comp.rank == len(rows)
+        assert comp.table().tolist() == per_element_coordinate_values(basis, oracle)
+
+
+def test_oracle_builds_only_the_prefix_it_needs():
+    spec = WeightSpec(tuple(1.0 + i / 30 for i in range(30)))
+    big = weighted_oracle(spec)
+    tracemalloc.start()
+    try:
+        assert restrict_oracle(big, 10).table().size == 1 << 10
+        assert big(from_support([2, 9])) == weighted_norm(spec, from_support([2, 9]))
+        assert big.values(np.array([0, 1 << 11])).tolist() == [0.0, weighted_norm(spec, 1 << 11)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # far below the 8 GiB of a rank-30 table
+
+
+def test_out_of_rank_and_negative_masks_raise():
+    spec = WeightSpec((1.0, 2.0, 3.0))
+    oracle = weighted_oracle(spec)
+    for g in (1 << 3, -1, -6):
+        with pytest.raises(IndexOutOfRankError):
+            oracle(g)
+        with pytest.raises(IndexOutOfRankError):
+            oracle.values(np.array([0, g]))
+        with pytest.raises(IndexOutOfRankError):
+            weighted_norm(spec, g)
+        with pytest.raises(IndexOutOfRankError):
+            graev_norm(MetricSpec(((0.0, 1.0), (1.0, 0.0))), g)
+
+
+def test_dense_table_refuses_more_than_physical_memory():
+    huge = weighted_oracle(WeightSpec((1.0,) * 50))
+    with pytest.raises(RankTooLargeError):
+        huge.table()
+    assert huge(from_support([3])) == 1.0

@@ -1,14 +1,23 @@
 import itertools
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolnorm import (
     BaseCostTable,
     CosetSpec,
+    NanNormError,
+    NormOracle,
+    RankTooLargeError,
+    RowRecord,
     SearchBoundExceededError,
     WeightSpec,
     coset_argmin,
     from_support,
+    gf2_rank,
     reduce_basis,
     reduce_basis_report,
     support,
@@ -17,7 +26,7 @@ from boolnorm import (
 )
 from boolnorm.instances import random_base_table, rng_from
 from boolnorm.norms import closure_norm
-from boolnorm.reduction import search_bound
+from boolnorm.reduction import _argmin_exhaustive, search_bound
 
 
 def brute_coset_min(oracle, offset, rows):
@@ -152,3 +161,99 @@ def test_pruned_search_survives_heavy_ties():
         plain = reduce_basis(oracle, 6, prune=False)
         pruned = reduce_basis(oracle, 6, prune=True)
         assert plain.rows == pruned.rows, f"seed {seed}"
+
+
+def gray_walk_report(oracle, rank):
+    """Reference reduction: the scalar Gray-code walk for every row."""
+    rows, records = [], []
+    for k in range(1, rank + 1):
+        elem, norm, evaluated = _argmin_exhaustive(oracle, 1 << (k - 1), tuple(rows))
+        rows.append(elem)
+        records.append(RowRecord(k, support(elem), norm, 1 << (k - 1), evaluated))
+    return tuple(rows), records
+
+
+def tie_heavy_table(data, rank, values):
+    costs = data.draw(st.lists(st.sampled_from(values), min_size=1 << rank, max_size=1 << rank))
+    costs[0] = 0.0
+    return np.array(costs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_dense_search_matches_gray_walk_on_tie_heavy_tables(data):
+    # arbitrary tables, not norms: small-integer costs (and inf) tie often
+    rank = data.draw(st.integers(min_value=1, max_value=7))
+    oracle = NormOracle(rank, table=tie_heavy_table(data, rank, [1.0, 2.0, 3.0, float("inf")]))
+    basis, records = reduce_basis_report(oracle, rank)
+    rows, expected = gray_walk_report(oracle, rank)
+    assert basis.rows == rows
+    assert records == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_dense_gray_and_pruned_agree_on_tie_heavy_norms(data):
+    # the pruned walk relies on the triangle inequality, so only norms here
+    rank = data.draw(st.integers(min_value=1, max_value=7))
+    costs = tie_heavy_table(data, rank, [1.0, 2.0, 3.0])
+    oracle = closure_norm(BaseCostTable(rank, tuple(costs.tolist())))
+    basis, records = reduce_basis_report(oracle, rank)
+    pruned_basis, pruned_records = reduce_basis_report(oracle, rank, prune=True)
+    rows, expected = gray_walk_report(oracle, rank)
+    assert basis.rows == pruned_basis.rows == rows
+    assert records == expected
+    for rec, pruned in zip(records, pruned_records):
+        assert pruned.candidates_evaluated <= rec.candidates_evaluated
+        assert pruned == RowRecord(
+            rec.index, rec.support, rec.norm, rec.coset_size, pruned.candidates_evaluated
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_coset_argmin_matches_references_on_arbitrary_cosets(data):
+    rank = data.draw(st.integers(min_value=1, max_value=6))
+    costs = tie_heavy_table(data, rank, [1.0, 2.0, 3.0])
+    candidates = data.draw(st.lists(st.integers(1, (1 << rank) - 1), max_size=rank))
+    span_rows = []
+    for row in candidates:  # keep an independent, non-triangular subset
+        if gf2_rank(span_rows + [row]) > len(span_rows):
+            span_rows.append(row)
+    offset = data.draw(st.integers(0, (1 << rank) - 1))
+    coset = CosetSpec(offset, tuple(span_rows))
+    for oracle, prune_ok in (
+        (NormOracle(rank, table=costs), False),
+        (closure_norm(BaseCostTable(rank, tuple(costs.tolist()))), True),
+    ):
+        expect, _ = brute_coset_min(oracle, offset, coset.span_rows)
+        assert coset_argmin(oracle, coset) == expect
+        assert _argmin_exhaustive(oracle, offset, coset.span_rows)[0] == expect
+        if prune_ok:
+            assert coset_argmin(oracle, coset, prune=True) == expect
+
+
+@pytest.mark.parametrize("prune", [False, True])
+def test_nan_in_the_searched_table_raises(prune):
+    oracle = NormOracle(2, table=np.array([0.0, 1.0, float("nan"), 2.0]))
+    with pytest.raises(NanNormError):
+        reduce_basis(oracle, 2, prune=prune)
+    with pytest.raises(NanNormError):
+        coset_argmin(oracle, CosetSpec(0b10, (0b01,)), prune=prune)
+    # a NaN outside the coset leaves that search well defined
+    assert coset_argmin(oracle, CosetSpec(0b01, ()), prune=prune) == 0b01
+
+
+def test_reduce_refuses_tables_beyond_physical_memory(monkeypatch):
+    monkeypatch.setenv("BOOLNORM_SEARCH_BOUND", "40")
+    oracle = weighted_oracle(WeightSpec((1.0,) * 40))
+    tracemalloc.start()
+    try:
+        with pytest.raises(RankTooLargeError):
+            reduce_basis(oracle, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the same spec reduces at a rank whose table fits
+    assert reduce_basis(oracle, 10).rows == tuple(1 << j for j in range(10))
