@@ -156,10 +156,16 @@ class NormOracle:
 
     Oracles built from a spec or a function materialize lazily and only the
     prefix a caller needs: the values on generators 1..m are the first 2**m
-    entries, so a query below 2**m never builds the rest.  Construction
+    entries, so a query below 2**m never builds the rest.  A query of a few
+    elements far above the built prefix is answered element by element
+    instead, so it costs what those elements cost, not 2**m.  Construction
     performs no axiom validation on purpose: raw cost tables must be
     runnable through the same checkers as genuine norms.
     """
+
+    # A query builds its prefix when the prefix has at most this many
+    # entries or at most four per element asked for.
+    DENSE_QUERY_FLOOR = 1 << 12
 
     def __init__(
         self,
@@ -169,18 +175,21 @@ class NormOracle:
         kind: str = "custom",
         build: Callable[[int], np.ndarray] | None = None,
     ) -> None:
-        """Exactly one source of values: fn (one element to its value),
-        table (all 2**rank values) or build (m to the table over generators
-        1..m)."""
+        """Values come from table (all 2**rank values) or from fn (one
+        element to its value); build (m to the table over generators 1..m)
+        optionally fills prefixes of an fn oracle faster than fn would."""
         if rank < 1:
             raise ValueError("rank must be >= 1")
-        if (fn is None) + (table is None) + (build is None) != 2:
-            raise ValueError("exactly one of fn, table or build is required")
+        if (fn is None) == (table is None):
+            raise ValueError("exactly one of fn or table is required")
+        if build is not None and fn is None:
+            raise ValueError("build needs fn for single elements")
         self.rank = rank
         self.kind = kind
         self._array: np.ndarray | None = None
         self._lock = threading.Lock()
-        if fn is not None:
+        self._fn = fn
+        if build is None and fn is not None:
             build = lambda m: np.fromiter(map(fn, range(1 << m)), dtype=float, count=1 << m)  # noqa: E731
         self._build = build
         if table is not None:
@@ -200,12 +209,18 @@ class NormOracle:
                     arr = self._array = np.asarray(self._build(m), dtype=float)
         return arr[: 1 << m]
 
+    def _builds_prefix(self, m: int, count: int) -> bool:
+        return 1 << m <= max(self.DENSE_QUERY_FLOOR, 4 * count)
+
     def __call__(self, g: Element) -> float:
         arr = self._array
-        if arr is None or not 0 <= g < arr.size:
-            _require_in_rank(g, self.rank)
-            arr = self._prefix(int(g).bit_length())
-        return arr.item(g)
+        if arr is not None and 0 <= g < arr.size:
+            return arr.item(g)
+        _require_in_rank(g, self.rank)
+        m = int(g).bit_length()
+        if self._builds_prefix(m, 1):
+            return self._prefix(m).item(g)
+        return float(self._fn(int(g)))
 
     def table(self) -> np.ndarray:
         """All 2**rank values indexed by element mask (built on demand)."""
@@ -219,7 +234,16 @@ class NormOracle:
         top = int(masks.max())
         _require_in_rank(int(masks.min()), self.rank)
         _require_in_rank(top, self.rank)
-        return self._prefix(top.bit_length())[masks]
+        arr = self._array
+        if arr is not None and top < arr.size:
+            return arr[masks]
+        m = top.bit_length()
+        if self._builds_prefix(m, masks.size):
+            return self._prefix(m)[masks]
+        fn = self._fn
+        return np.fromiter(
+            (fn(g) for g in masks.ravel().tolist()), dtype=float, count=masks.size
+        ).reshape(masks.shape)
 
 
 def weighted_norm(spec: WeightSpec, g: Element) -> float:
@@ -245,7 +269,10 @@ def _weighted_table(weights: tuple[float, ...], m: int) -> np.ndarray:
 
 def weighted_oracle(spec: WeightSpec) -> NormOracle:
     return NormOracle(
-        spec.rank, build=lambda m: _weighted_table(spec.weights, m), kind="weighted"
+        spec.rank,
+        fn=lambda g: weighted_norm(spec, g),
+        build=lambda m: _weighted_table(spec.weights, m),
+        kind="weighted",
     )
 
 
@@ -300,7 +327,12 @@ def _graev_table(dist: tuple[tuple[float, ...], ...], m: int) -> np.ndarray:
 
 
 def graev_oracle(spec: MetricSpec) -> NormOracle:
-    return NormOracle(spec.rank, build=lambda m: _graev_table(spec.dist, m), kind="graev")
+    return NormOracle(
+        spec.rank,
+        fn=lambda g: graev_norm(spec, g),
+        build=lambda m: _graev_table(spec.dist, m),
+        kind="graev",
+    )
 
 
 def closure_norm(base: BaseCostTable, *, rank_bound: int = EXHAUSTIVE_RANK_BOUND) -> NormOracle:

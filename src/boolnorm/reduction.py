@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -63,12 +64,11 @@ class RowRecord:
     candidates_evaluated: int
 
 
-def _reject_nan(values: np.ndarray, members: np.ndarray | None = None) -> None:
+def _reject_nan(values: np.ndarray, members: Sequence[Element]) -> None:
     # NaN compares false both ways, so no search order could rank it.
     nan = np.isnan(values)
     if nan.any():
-        i = int(np.argmax(nan))
-        g = i if members is None else int(members[i])
+        g = int(members[int(np.argmax(nan))])
         raise NanNormError(f"norm of {support(g)} is NaN; the coset minimum is undefined")
 
 
@@ -147,6 +147,9 @@ def _argmin_pruned(
                 walk(j + 1, child, v)
 
     walk(0, offset, best_norm)
+    # walk refers to itself through its closure; dropping that cycle frees
+    # the oracle, and its table, as soon as the caller lets go of it.
+    walk = None  # noqa: F841
     return best, best_norm, evaluated
 
 
@@ -154,7 +157,6 @@ def coset_argmin(
     oracle: NormOracle,
     coset: CosetSpec,
     *,
-    prune: bool = False,
     bound: int | None = None,
 ) -> Element:
     """Unique cheapest element of the coset under (norm, support) order."""
@@ -166,8 +168,6 @@ def coset_argmin(
     members = span_elements(coset.span_rows) ^ coset.offset
     values = oracle.values(members)
     _reject_nan(values, members)
-    if prune:
-        return _argmin_pruned(oracle, coset.offset, coset.span_rows)[0]
     return _argmin_dense(members, values)[0]
 
 
@@ -194,7 +194,9 @@ def reduce_basis_report(
     if rank > limit:
         raise SearchBoundExceededError(f"rank {rank} exceeds search bound {limit}")
     table = restrict_oracle(oracle, rank).table()
-    _reject_nan(table)
+    # The row cosets partition the nonzero masks, so both searches read
+    # every entry but the zero element's.
+    _reject_nan(table[1:], range(1, table.size))
     if not prune:
         # span[c] = sum of the rows selected by c, doubled as rows arrive.
         require_memory(8 << (rank - 1), f"the span of {rank - 1} rows")

@@ -210,3 +210,13 @@ def test_large_spec_at_small_rank_builds_only_that_prefix(tmp_path):
     report = tmp_path / "report.json"
     assert main(["verify", "--norm", norm, "--rank", "8", "--out", str(report)]) == 0
     assert read_json(report)["pass"] is True
+
+
+def test_verify_basis_rows_at_high_generators_of_a_large_spec(tmp_path):
+    norm = write_json(tmp_path / "w40.json", {"kind": "weighted", "weights": [1.0] * 40})
+    basis = write_json(tmp_path / "b.json", [[1], [2], [40]])
+    report = tmp_path / "report.json"
+    args = ["verify", "--norm", norm, "--rank", "4", "--basis", basis, "--out", str(report)]
+    assert main(args) == 0
+    assert read_json(report)["basis"] == [[1], [2], [40]]
+    assert read_json(report)["pass"] is True

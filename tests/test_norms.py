@@ -425,6 +425,37 @@ def test_oracle_builds_only_the_prefix_it_needs():
     assert peak < 1 << 20  # far below the 8 GiB of a rank-30 table
 
 
+def test_few_high_elements_are_evaluated_one_by_one():
+    weights = tuple(1.0 + i / 50 for i in range(50))
+    metric = MetricSpec(tuple(tuple(float(i != j) for j in range(41)) for i in range(41)))
+    calls = []
+
+    def fn(g):
+        calls.append(g)
+        return float(bin(g).count("1"))
+
+    high = [1 << 49, from_support([3, 47]), from_support([1, 30, 50])]
+    tracemalloc.start()
+    try:
+        weighted = weighted_oracle(WeightSpec(weights))
+        for g in high:
+            assert weighted(g) == weighted_norm(WeightSpec(weights), g)
+        assert weighted.values(np.array(high)).tolist() == [weighted(g) for g in high]
+        graev = graev_oracle(metric)
+        assert graev(from_support([2, 40])) == graev_norm(metric, from_support([2, 40])) == 1.0
+        counted = NormOracle(50, fn=fn)
+        assert counted.values(np.array(high)).tolist() == [1.0, 2.0, 3.0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert calls == high
+    # a query that fills much of its prefix builds the prefix once
+    dense = NormOracle(14, fn=fn)
+    assert dense.values(np.arange(1 << 13, 1 << 14)).size == 1 << 13
+    assert dense(5) == 2.0 and len(calls) == 3 + (1 << 14)
+
+
 def test_out_of_rank_and_negative_masks_raise():
     spec = WeightSpec((1.0, 2.0, 3.0))
     oracle = weighted_oracle(spec)

@@ -222,26 +222,27 @@ def test_coset_argmin_matches_references_on_arbitrary_cosets(data):
             span_rows.append(row)
     offset = data.draw(st.integers(0, (1 << rank) - 1))
     coset = CosetSpec(offset, tuple(span_rows))
-    for oracle, prune_ok in (
-        (NormOracle(rank, table=costs), False),
-        (closure_norm(BaseCostTable(rank, tuple(costs.tolist()))), True),
+    for oracle in (
+        NormOracle(rank, table=costs),
+        closure_norm(BaseCostTable(rank, tuple(costs.tolist()))),
     ):
         expect, _ = brute_coset_min(oracle, offset, coset.span_rows)
         assert coset_argmin(oracle, coset) == expect
         assert _argmin_exhaustive(oracle, offset, coset.span_rows)[0] == expect
-        if prune_ok:
-            assert coset_argmin(oracle, coset, prune=True) == expect
 
 
 @pytest.mark.parametrize("prune", [False, True])
 def test_nan_in_the_searched_table_raises(prune):
     oracle = NormOracle(2, table=np.array([0.0, 1.0, float("nan"), 2.0]))
-    with pytest.raises(NanNormError):
+    with pytest.raises(NanNormError, match=r"norm of \(2,\)"):
         reduce_basis(oracle, 2, prune=prune)
     with pytest.raises(NanNormError):
-        coset_argmin(oracle, CosetSpec(0b10, (0b01,)), prune=prune)
+        coset_argmin(oracle, CosetSpec(0b10, (0b01,)))
     # a NaN outside the coset leaves that search well defined
-    assert coset_argmin(oracle, CosetSpec(0b01, ()), prune=prune) == 0b01
+    assert coset_argmin(oracle, CosetSpec(0b01, ())) == 0b01
+    # no coset holds the zero element, so a NaN there is never searched
+    zero_nan = NormOracle(2, table=np.array([float("nan"), 1.0, 1.0, 2.0]))
+    assert reduce_basis(zero_nan, 2, prune=prune).rows == (0b01, 0b10)
 
 
 def test_reduce_refuses_tables_beyond_physical_memory(monkeypatch):
