@@ -10,6 +10,7 @@ equality is element equality.
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
@@ -21,11 +22,22 @@ from .errors import NotInSpanError, RankTooLargeError, StratumRangeError
 Element = int
 
 
+def _index(i) -> int:
+    # Indices come from JSON too: 1.9 or true must be refused, not rounded
+    # to 1; numpy integers are accepted.
+    if isinstance(i, bool):
+        raise TypeError(f"index must be an integer, got {i!r}")
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise TypeError(f"index must be an integer, got {i!r}") from None
+
+
 def from_support(indices: Iterable[int]) -> Element:
     """Element with the given generator indices (each >= 1, no repeats)."""
     mask = 0
     for i in indices:
-        i = int(i)
+        i = _index(i)
         if i < 1:
             raise ValueError(f"generator index must be >= 1, got {i}")
         bit = 1 << (i - 1)
@@ -57,7 +69,7 @@ def reduce_word(letters: Iterable[int]) -> Element:
     paired repeats cancel."""
     mask = 0
     for i in letters:
-        i = int(i)
+        i = _index(i)
         if i < 1:
             raise ValueError(f"generator index must be >= 1, got {i}")
         mask ^= 1 << (i - 1)
@@ -183,7 +195,7 @@ def element_from_coordinates(basis: Basis, coords: Iterable[int]) -> Element:
     rows = basis.rows
     g = 0
     for pos in coords:
-        pos = int(pos)
+        pos = _index(pos)
         if not 1 <= pos <= len(rows):
             raise ValueError(f"row position {pos} out of range 1..{len(rows)}")
         g ^= rows[pos - 1]

@@ -14,20 +14,11 @@ from typing import Callable, IO
 
 from .instances import NORM_FAMILIES, random_norm, random_sequence, rng_from
 from .norms import NormOracle
-from .rebasing import build_second_basis, verify_independence, witness_nonvanishing
+from .rebasing import build_second_basis, check_witnesses, verify_independence
 from .reduction import reduce_basis
-from .verification import (
-    check_closedness,
-    check_discreteness,
-    check_geometric_bound,
-    check_monotone_tail,
-    check_null_tail,
-    merge_reports,
-    min_separation,
-    worst_geometric_ratio,
-)
+from .verification import LEMMA_CHECKS, min_separation, worst_geometric_ratio
 
-CHECK_NAMES = ("L0iii", "L1", "L2", "L3", "L4", "rebase")
+CHECK_NAMES = (*LEMMA_CHECKS, "rebase")
 
 CSV_COLUMNS = (
     "trial",
@@ -54,7 +45,7 @@ class CampaignConfig:
     trials: int
     family: str = "closure"
     norm_loader: Callable[[], NormOracle] | None = field(default=None, compare=False)
-    checks: tuple[str, ...] = ("L0iii", "L1", "L2", "L3", "L4")
+    checks: tuple[str, ...] = tuple(LEMMA_CHECKS)
     seed: int = 0
     threads: int = 1
     out: str | None = None
@@ -94,15 +85,7 @@ def _rebase_trial(rng, basis, oracle) -> bool:
         combos = range(1, 1 << nrows)
     else:
         combos = (int(rng.integers(1, 1 << nrows)) for _ in range(REBASE_COMBO_SAMPLES))
-    for combo_mask in combos:
-        labels = [i for i in range(nrows) if combo_mask >> i & 1]
-        wit = witness_nonvanishing(labels, basis, seq)
-        total = 0
-        for lab in labels:
-            total ^= built.rows[lab]
-        if not total >> (wit - 1) & 1:
-            return False
-    return True
+    return check_witnesses(built, basis, seq, combos)[1] == 0
 
 
 def run_trial(cfg: CampaignConfig, trial: int) -> dict:
@@ -124,30 +107,15 @@ def run_trial(cfg: CampaignConfig, trial: int) -> dict:
     violations = 0
     all_ok = True
     for name in cfg.checks:
-        if name == "L0iii":
-            rep = check_monotone_tail(basis, oracle)
-        elif name == "L1":
-            rep = check_geometric_bound(basis, oracle)
-        elif name == "L2":
-            rep = merge_reports(
-                "L2", [check_discreteness(basis, oracle, n) for n in range(cfg.rank + 1)]
-            )
-        elif name == "L3":
-            rep = merge_reports(
-                "L3", [check_closedness(basis, oracle, n) for n in range(cfg.rank + 1)]
-            )
-        elif name == "L4":
-            rep = check_null_tail(basis, oracle, range(1, cfg.rank + 1))
+        if name == "rebase":
+            passed = _rebase_trial(rng, basis, oracle)
+            found = int(not passed)
         else:
-            ok = _rebase_trial(rng, basis, oracle)
-            row["rebase_pass"] = _fmt_bool(ok)
-            all_ok &= ok
-            violations += 0 if ok else 1
-            continue
-        key = f"{name.lower()}_pass"
-        row[key] = _fmt_bool(rep.passed)
-        all_ok &= rep.passed
-        violations += len(rep.violations)
+            rep = LEMMA_CHECKS[name](basis, oracle)
+            passed, found = rep.passed, len(rep.violations)
+        row[f"{name.lower()}_pass"] = _fmt_bool(passed)
+        all_ok &= passed
+        violations += found
     row["pass"] = _fmt_bool(all_ok)
     row["violations"] = violations
     row["worst_l1_ratio"] = repr(worst_geometric_ratio(basis, oracle))

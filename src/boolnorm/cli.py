@@ -26,23 +26,14 @@ from .norms import (
 )
 from .rebasing import (
     build_second_basis,
+    check_witnesses,
     f_iterates,
     normalize_sequence,
     separation_profile,
     verify_independence,
-    witness_nonvanishing,
 )
 from .reduction import reduce_basis, reduce_basis_report
-from .verification import (
-    check_closedness,
-    check_discreteness,
-    check_geometric_bound,
-    check_monotone_tail,
-    check_null_tail,
-    merge_reports,
-)
-
-LEMMA_CHECKS = ("L0iii", "L1", "L2", "L3", "L4")
+from .verification import LEMMA_CHECKS
 
 
 def _load_json(path: str):
@@ -109,6 +100,11 @@ def _load_basis_file(path: str, oracle_rank: int):
 
 
 def cmd_reduce(args) -> int:
+    if args.prune and args.skip_axioms:
+        raise ValueError(
+            "--prune cannot be combined with --skip-axioms: the pruned search assumes "
+            "the triangle inequality, which only the axiom gate guarantees"
+        )
     oracle, rank = _load_oracle(args)
     _axiom_gate(oracle, rank, args.skip_axioms)
     basis, records = reduce_basis_report(oracle, rank, prune=args.prune)
@@ -131,27 +127,6 @@ def cmd_reduce(args) -> int:
     return 0
 
 
-def _run_lemma_checks(basis, oracle, checks: tuple[str, ...]) -> dict:
-    rank = len(basis.rows)
-    reports = {}
-    for name in checks:
-        if name == "L0iii":
-            reports[name] = check_monotone_tail(basis, oracle)
-        elif name == "L1":
-            reports[name] = check_geometric_bound(basis, oracle)
-        elif name == "L2":
-            reports[name] = merge_reports(
-                "L2", [check_discreteness(basis, oracle, n) for n in range(rank + 1)]
-            )
-        elif name == "L3":
-            reports[name] = merge_reports(
-                "L3", [check_closedness(basis, oracle, n) for n in range(rank + 1)]
-            )
-        else:
-            reports[name] = check_null_tail(basis, oracle, range(1, rank + 1))
-    return reports
-
-
 def cmd_verify(args) -> int:
     oracle, rank = _load_oracle(args)
     checks = _parse_checks(args.checks, LEMMA_CHECKS)
@@ -160,7 +135,7 @@ def cmd_verify(args) -> int:
         basis = _load_basis_file(args.basis, oracle.rank)
     else:
         basis = reduce_basis(oracle, rank)
-    reports = _run_lemma_checks(basis, oracle, checks)
+    reports = {name: LEMMA_CHECKS[name](basis, oracle) for name in checks}
     ok = all(rep.passed for rep in reports.values())
     payload = {
         "rank": len(basis.rows),
@@ -191,17 +166,7 @@ def cmd_rebase(args) -> int:
     else:
         rng = rng_from(args.seed, nrows)
         combo_masks = sorted({int(rng.integers(1, 1 << nrows)) for _ in range(4096)})
-    witness_failures = 0
-    checked = 0
-    for mask in combo_masks:
-        labels = [i for i in range(nrows) if mask >> i & 1]
-        wit = witness_nonvanishing(labels, basis, seq)
-        total = 0
-        for lab in labels:
-            total ^= built.rows[lab]
-        checked += 1
-        if not total >> (wit - 1) & 1:
-            witness_failures += 1
+    checked, witness_failures = check_witnesses(built, basis, seq, combo_masks)
 
     profile = separation_profile(built, coordinate_norm(basis, oracle), seq)
     ok = res.independent and res.rank == nrows and witness_failures == 0
@@ -287,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--family", default="closure", choices=NORM_FAMILIES)
     p_campaign.add_argument("--norm", default=None, help="fixed norm spec instead of random draws")
     p_campaign.add_argument(
-        "--checks", default="L0iii,L1,L2,L3,L4", help="comma list of " + ",".join(CHECK_NAMES)
+        "--checks", default=",".join(LEMMA_CHECKS), help="comma list of " + ",".join(CHECK_NAMES)
     )
     p_campaign.add_argument("--out", required=True, help="CSV output file")
     p_campaign.set_defaults(func=cmd_campaign)

@@ -22,9 +22,13 @@ RELATIVE_TOLERANCE = 1e-9
 EXHAUSTIVE_RANK_BOUND = 14
 
 
-def leq_with_tolerance(lhs: float, rhs: float, tol: float = RELATIVE_TOLERANCE) -> bool:
-    """lhs <= rhs up to relative slack tol."""
-    return lhs <= rhs + tol * max(abs(lhs), abs(rhs))
+def exceeds(lhs, rhs, tol: float = RELATIVE_TOLERANCE):
+    """lhs > rhs beyond relative slack tol, for scalars or elementwise.
+
+    A NaN or infinite value on either side always exceeds: a bound that
+    cannot be evaluated is a violation, never a pass."""
+    big = np.maximum(np.abs(lhs), np.abs(rhs))
+    return (lhs > rhs + tol * big) | ~np.isfinite(big)
 
 
 @dataclass(frozen=True)
@@ -72,14 +76,15 @@ class MetricSpec:
                     raise ValueError(f"dist({i},{j}) must be positive off the diagonal")
                 if x != d[j][i]:
                     raise ValueError(f"dist({i},{j}) != dist({j},{i})")
+        a = np.array(d)
         for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    if not leq_with_tolerance(d[i][k], d[i][j] + d[j][k]):
-                        raise ValueError(
-                            f"triangle inequality fails at ({i},{j},{k}): "
-                            f"{d[i][k]} > {d[i][j]} + {d[j][k]}"
-                        )
+            bad = exceeds(a[i], a[i][:, None] + a)  # [j, k]: d(i,k) vs d(i,j) + d(j,k)
+            if bad.any():
+                j, k = divmod(int(np.argmax(bad)), m)
+                raise ValueError(
+                    f"triangle inequality fails at ({i},{j},{k}): "
+                    f"{d[i][k]} > {d[i][j]} + {d[j][k]}"
+                )
 
     @property
     def rank(self) -> int:
@@ -455,12 +460,12 @@ def check_norm_axioms(
     for g in range(size):
         lhs = t[idx[g:] ^ g]
         rhs = t[g] + t[g:]
-        over = lhs > rhs
-        if not over.any():
+        over = np.flatnonzero(lhs > rhs)
+        if over.size == 0:
             continue
-        bad = over & (lhs > rhs + tol * np.maximum(lhs, rhs))
-        if bad.any():
-            h = g + int(np.argmax(bad))
+        bad = over[exceeds(lhs[over], rhs[over], tol)]
+        if bad.size:
+            h = g + int(bad[0])
             return AxiomReport(
                 False,
                 pairs,

@@ -193,6 +193,28 @@ def witness_nonvanishing(
     return iters[m + 1]
 
 
+def check_witnesses(
+    built: GeneralBasis,
+    basis: TriangularBasis,
+    seq: ApproachSequence,
+    combo_masks: Iterable[int],
+) -> tuple[int, int]:
+    """Cross-check witness_nonvanishing against the rebased rows: for each
+    combination mask (bit i selects row label i), the witnessed letter must
+    occur in the sum of the selected rows.  Returns (checked, failures)."""
+    rows = built.rows
+    checked = failures = 0
+    for mask in combo_masks:
+        labels = [i for i in range(len(rows)) if mask >> i & 1]
+        total = 0
+        for lab in labels:
+            total ^= rows[lab]
+        wit = witness_nonvanishing(labels, basis, seq)
+        checked += 1
+        failures += not total >> (wit - 1) & 1
+    return checked, failures
+
+
 def separation_profile(
     basis2: GeneralBasis, oracle: NormOracle, seq: ApproachSequence
 ) -> dict:
@@ -202,12 +224,7 @@ def separation_profile(
     as the rows (see norms.coordinate_norm)."""
     rows = basis2.rows
     nrows = len(rows)
-    iters = [1]
-    while iters[-1] <= len(seq.terms):
-        nxt = seq.terms[iters[-1] - 1].bit_length()
-        if nxt > nrows:
-            break
-        iters.append(nxt)
+    iters = f_iterates(seq, nrows)
     pairwise = []
     for i in range(nrows):
         for j in range(i + 1, nrows):

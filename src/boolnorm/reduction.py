@@ -24,15 +24,16 @@ SEARCH_BOUND_ENV = "BOOLNORM_SEARCH_BOUND"
 def search_bound(override: int | None = None) -> int:
     """Effective coset search bound: explicit override, else the
     BOOLNORM_SEARCH_BOUND environment variable, else the default."""
-    if override is not None:
-        return int(override)
     env = os.environ.get(SEARCH_BOUND_ENV)
-    if env is not None:
-        bound = int(env)
-        if bound < 1:
-            raise ValueError(f"{SEARCH_BOUND_ENV} must be >= 1, got {bound}")
-        return bound
-    return DEFAULT_SEARCH_BOUND
+    if override is not None:
+        bound, source = int(override), "search bound"
+    elif env is not None:
+        bound, source = int(env), SEARCH_BOUND_ENV
+    else:
+        return DEFAULT_SEARCH_BOUND
+    if bound < 1:
+        raise ValueError(f"{source} must be >= 1, got {bound}")
+    return bound
 
 
 @dataclass(frozen=True)
@@ -225,5 +226,9 @@ def reduce_basis(
     prune: bool = False,
     bound: int | None = None,
 ) -> TriangularBasis:
-    """Reduced basis of the rank-n truncation under the given norm."""
+    """Reduced basis of the rank-n truncation under the given norm.
+
+    prune=True gives the same basis only when the oracle really is a norm:
+    its cut assumes the triangle inequality, so on a table that is not
+    subadditive it may return a different, wrong basis."""
     return reduce_basis_report(oracle, rank, prune=prune, bound=bound)[0]

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -70,6 +71,24 @@ def test_support_round_trip():
         from_support([0])
     with pytest.raises(ValueError):
         from_support([3, 3])
+
+
+@pytest.mark.parametrize("bad", [2.9, 1.0, True, False, "1", np.True_])
+def test_indices_must_be_integers(bad):
+    basis = TriangularBasis((0b01, 0b11))
+    with pytest.raises(TypeError, match="index must be an integer"):
+        from_support([bad])
+    with pytest.raises(TypeError, match="index must be an integer"):
+        reduce_word([1, bad])
+    with pytest.raises(TypeError, match="index must be an integer"):
+        element_from_coordinates(basis, [bad])
+
+
+def test_numpy_integer_indices_are_accepted():
+    basis = TriangularBasis((0b01, 0b11))
+    assert from_support(np.array([3, 1])) == 0b101
+    assert reduce_word([np.int64(2), np.uint8(2), np.int32(1)]) == 0b1
+    assert element_from_coordinates(basis, [np.int16(2)]) == 0b11
 
 
 def test_reduce_word_examples():

@@ -220,3 +220,35 @@ def test_verify_basis_rows_at_high_generators_of_a_large_spec(tmp_path):
     assert main(args) == 0
     assert read_json(report)["basis"] == [[1], [2], [40]]
     assert read_json(report)["pass"] is True
+
+
+@pytest.mark.parametrize("bad", [1.9, True])
+def test_non_integer_indices_in_json_are_input_errors(tmp_path, norm_a_file, bad, capsys):
+    basis = write_json(tmp_path / "basis.json", [[1], [bad]])
+    assert main(["verify", "--norm", norm_a_file, "--basis", basis]) == 2
+    norm = write_json(
+        tmp_path / "w4.json", {"kind": "weighted", "weights": [1.0, 1.0, 1.0, 1.0]}
+    )
+    seq = write_json(tmp_path / "seq.json", [[2], [1, bad, 3], [1, 3, 4]])
+    assert main(["rebase", "--norm", norm, "--seq", seq]) == 2
+    assert "index must be an integer" in capsys.readouterr().err
+
+
+def test_reduce_prune_refuses_to_skip_the_axiom_gate(tmp_path, norm_a_file, capsys):
+    args = ["reduce", "--norm", norm_a_file, "--prune", "--skip-axioms"]
+    assert main(args + ["--out", str(tmp_path / "b.json")]) == 2
+    assert "triangle inequality" in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_verify_without_the_gate_fails_on_overflowing_norms(tmp_path, capsys):
+    """Weights of 1e308 are finite, but the norm of {1,2} overflows to inf;
+    with the gate skipped every lemma must see it and fail."""
+    norm = write_json(tmp_path / "huge.json", {"kind": "weighted", "weights": [1e308, 1e308]})
+    out = tmp_path / "report.json"
+    assert main(["verify", "--norm", norm, "--skip-axioms", "--out", str(out)]) == 1
+    assert not any(rep["pass"] for rep in read_json(out)["checks"].values())
+    assert main(["verify", "--norm", norm]) == 2
+    assert "finite" in capsys.readouterr().err
+

@@ -105,6 +105,27 @@ def test_metric_spec_validation():
         MetricSpec(((1.0, 1.0), (1.0, 0.0)))
 
 
+def test_metric_spec_reports_the_first_failing_triple():
+    d = ((0.0, 1.0, 1.0, 5.0), (1.0, 0.0, 9.0, 1.0), (1.0, 9.0, 0.0, 1.0), (5.0, 1.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match=r"fails at \(0,1,3\): 5.0 > 1.0 \+ 1.0"):
+        MetricSpec(d)
+
+
+# -inf on the right makes the slack -inf + inf = NaN, which numpy reports.
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_exceeds_is_strict_up_to_relative_slack_and_refuses_non_finite():
+    from boolnorm.norms import exceeds
+
+    assert not exceeds(1.0, 1.0)
+    assert not exceeds(1.0 + 1e-12, 1.0)
+    assert exceeds(1.0 + 1e-6, 1.0)
+    assert not exceeds(-2.0, -2.0 - 1e-12)  # slack scales with |value|
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        assert exceeds(bad, 1.0) and exceeds(1.0, bad)
+    got = exceeds(np.array([1.0, 3.0, np.nan, 0.5]), np.array([2.0, 1.0, 1.0, np.inf]))
+    assert got.tolist() == [False, True, True, True]
+
+
 def test_graev_examples():
     m = MetricSpec(((0.0, 1.0, 1.0), (1.0, 0.0, 0.5), (1.0, 0.5, 0.0)))
     assert graev_norm(m, from_support([1, 2])) == 0.5

@@ -11,6 +11,7 @@ from boolnorm import (
     WeightSpec,
     block_partition,
     build_second_basis,
+    check_witnesses,
     coordinate_norm,
     f_iterates,
     from_support,
@@ -247,3 +248,16 @@ def test_separation_profile_flags_duplicate_rows(flat_basis4):
     dup = GeneralBasis((0b01, 0b01))
     profile = separation_profile(dup, coordinate_norm(basis, oracle), seq4())
     assert profile["min_pairwise_distance"] == 0.0
+
+
+def test_check_witnesses_counts_every_mask_and_catches_a_corrupt_row(flat_basis4):
+    basis, _ = flat_basis4
+    seq = seq4()
+    built = build_second_basis(basis, seq)
+    assert check_witnesses(built, basis, seq, range(1, 16)) == (15, 0)
+    assert check_witnesses(built, basis, seq, [3, 3, 5]) == (3, 0)
+    # row 3 loses its own letter 4: the odd top block {3} is witnessed by
+    # letter 4, which no longer occurs
+    corrupt = GeneralBasis(built.rows[:3] + (from_support([1]),))
+    checked, failures = check_witnesses(corrupt, basis, seq, range(1, 16))
+    assert checked == 15 and failures > 0

@@ -121,9 +121,17 @@ def test_reduction_is_deterministic():
 def test_search_bound_enforced(norm_a):
     with pytest.raises(SearchBoundExceededError):
         reduce_basis(norm_a, 2, bound=1)
-    coset = CosetSpec(from_support([2]), (from_support([1]),))
+    coset = CosetSpec(from_support([3]), (from_support([1]), from_support([2])))
     with pytest.raises(SearchBoundExceededError):
-        coset_argmin(norm_a, coset, bound=0)
+        coset_argmin(norm_a, coset, bound=1)
+
+
+@pytest.mark.parametrize("override", [0, -3])
+def test_search_bound_override_below_one_is_refused(override, norm_a):
+    with pytest.raises(ValueError, match="search bound must be >= 1"):
+        search_bound(override)
+    with pytest.raises(ValueError):
+        reduce_basis(norm_a, 2, bound=override)
 
 
 def test_search_bound_env_override(monkeypatch, norm_a):

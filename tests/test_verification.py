@@ -241,3 +241,82 @@ def test_vectorized_checkers_match_scalar_reference_on_invalid_tables():
                 assert got == ref_viols, f"{tag} seed {seed} n {n}"
                 found_violations += len(ref_viols)
     assert found_violations > 0  # the negative path was really exercised
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_every_checker_fails_on_a_non_finite_table(bad):
+    """A value no bound can be evaluated against is a violation: the NaN or
+    inf at {2} is read by every lemma, so none may pass."""
+    from boolnorm import LEMMA_CHECKS, TriangularBasis
+
+    oracle = NormOracle(2, table=[0.0, 1.0, bad, 2.0])
+    basis = TriangularBasis((0b01, 0b10))
+    for name, check in LEMMA_CHECKS.items():
+        report = check(basis, oracle)
+        assert not report.passed, name
+        assert report.violations, name
+    assert worst_geometric_ratio(basis, oracle) == float("inf")
+
+
+def scalar_tail_and_doubling(basis, oracle, tol=1e-9):
+    """Plain loops over every word for L0iii and L1, with the scalar form of
+    the tolerance predicate, plus the worst doubling ratio."""
+    r = len(basis.rows)
+
+    def exceeds(lhs, rhs):
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            return True
+        return lhs > rhs + tol * max(abs(lhs), abs(rhs))
+
+    from boolnorm import element_from_coordinates, support
+
+    row = [oracle(basis.rows[j]) for j in range(r)]
+    tail, doubling, worst = [], [], 0.0
+    for c in range(1, 1 << r):
+        letters = support(c)
+        w = oracle(element_from_coordinates(basis, letters))
+        if exceeds(row[letters[-1] - 1], w):
+            tail.append(({"set": list(letters)}, row[letters[-1] - 1], w))
+        for k, pos in enumerate(reversed(letters)):
+            if exceeds(row[pos - 1], 2.0**k * w):
+                doubling.append(({"word": list(letters), "k": k}, row[pos - 1], 2.0**k * w))
+            if len(letters) >= 2:
+                if not (math.isfinite(w) and math.isfinite(row[pos - 1])) or w <= 0.0:
+                    worst = math.inf
+                elif worst < math.inf:
+                    worst = max(worst, row[pos - 1] / (2.0**k * w))
+    return tail, doubling, worst
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_vectorized_tail_and_doubling_match_scalar_loops_with_non_finite_values(data):
+    from boolnorm import TriangularBasis
+
+    rank = data.draw(st.integers(min_value=1, max_value=5))
+    value = st.one_of(
+        st.sampled_from([0.5, 1.0, 2.0, 3.0, 1.0 + 1e-10, 7.25, 0.0]),
+        st.sampled_from([float("nan"), float("inf")]),
+    )
+    table = [0.0] + data.draw(st.lists(value, min_size=(1 << rank) - 1, max_size=(1 << rank) - 1))
+    rows = tuple(
+        data.draw(st.integers(min_value=0, max_value=(1 << j) - 1)) | 1 << j for j in range(rank)
+    )
+    basis, oracle = TriangularBasis(rows), NormOracle(rank, table=table)
+    tail, doubling, worst = scalar_tail_and_doubling(basis, oracle)
+
+    def listed(report):
+        return [(v.witness, v.lhs, v.rhs) for v in report.violations]
+
+    def same(got, want):
+        # NaN != NaN, so compare the witnesses and the values' reprs
+        return [(w, repr(l), repr(r)) for w, l, r in got] == [
+            (w, repr(l), repr(r)) for w, l, r in want
+        ]
+
+    l0 = check_monotone_tail(basis, oracle)
+    l1 = check_geometric_bound(basis, oracle)
+    assert same(listed(l0), tail) and l0.passed == (not tail)
+    assert same(listed(l1), doubling) and l1.passed == (not doubling)
+    assert l0.checked == (1 << rank) - 1 and l1.checked == rank << (rank - 1)
+    assert worst_geometric_ratio(basis, oracle) == worst
