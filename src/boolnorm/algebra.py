@@ -59,11 +59,6 @@ def support(g: Element) -> tuple[int, ...]:
     return tuple(out)
 
 
-def add(g: Element, h: Element) -> Element:
-    """Sum in the Boolean group: symmetric difference of the supports."""
-    return g ^ h
-
-
 def reduce_word(letters: Iterable[int]) -> Element:
     """Element represented by a word: indices with odd multiplicity survive,
     paired repeats cancel."""
@@ -74,32 +69,6 @@ def reduce_word(letters: Iterable[int]) -> Element:
             raise ValueError(f"generator index must be >= 1, got {i}")
         mask ^= 1 << (i - 1)
     return mask
-
-
-def max_index(g: Element) -> int:
-    """Largest generator index occurring in g, 0 for the zero element."""
-    return g.bit_length()
-
-
-@dataclass(frozen=True)
-class TruncationContext:
-    """Finite stage of the group: elements supported on generators 1..rank."""
-
-    rank: int
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-
-    @property
-    def size(self) -> int:
-        return 1 << self.rank
-
-    def contains(self, g: Element) -> bool:
-        return g >> self.rank == 0
-
-    def elements(self) -> Iterator[Element]:
-        return iter(range(1 << self.rank))
 
 
 @dataclass(frozen=True)
@@ -202,12 +171,9 @@ def element_from_coordinates(basis: Basis, coords: Iterable[int]) -> Element:
     return g
 
 
-def enumerate_stratum(
-    ctx: TruncationContext | int, k: int, mode: str = "exactly"
-) -> Iterator[tuple[int, ...]]:
+def enumerate_stratum(rank: int, k: int, mode: str = "exactly") -> Iterator[tuple[int, ...]]:
     """Coordinate sets of reduced length k ("exactly") or <= k ("at-most"),
     in lexicographic order within each size.  Validates eagerly."""
-    rank = ctx.rank if isinstance(ctx, TruncationContext) else int(ctx)
     if k < 0:
         raise ValueError("stratum length must be >= 0")
     if k > rank:

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import csv
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, IO
+from dataclasses import dataclass
+from typing import IO
+
+import numpy as np
 
 from .instances import NORM_FAMILIES, random_norm, random_sequence, rng_from
 from .norms import NormOracle
@@ -25,12 +27,7 @@ CSV_COLUMNS = (
     "family",
     "rank",
     "pass",
-    "l0iii_pass",
-    "l1_pass",
-    "l2_pass",
-    "l3_pass",
-    "l4_pass",
-    "rebase_pass",
+    *(f"{name.lower()}_pass" for name in CHECK_NAMES),
     "violations",
     "worst_l1_ratio",
     "min_epsilon",
@@ -44,11 +41,10 @@ class CampaignConfig:
     rank: int
     trials: int
     family: str = "closure"
-    norm_loader: Callable[[], NormOracle] | None = field(default=None, compare=False)
+    norm: NormOracle | None = None
     checks: tuple[str, ...] = tuple(LEMMA_CHECKS)
     seed: int = 0
     threads: int = 1
-    out: str | None = None
 
     def __post_init__(self) -> None:
         if self.rank < 1:
@@ -64,6 +60,8 @@ class CampaignConfig:
                 raise ValueError(f"unknown check {name!r} (choose from {', '.join(CHECK_NAMES)})")
         if self.family not in NORM_FAMILIES:
             raise ValueError(f"unknown norm family {self.family!r}")
+        if self.norm is not None and self.norm.rank < self.rank:
+            raise ValueError(f"norm covers rank {self.norm.rank}, campaign needs {self.rank}")
         if "rebase" in self.checks and self.rank < 3:
             raise ValueError("the rebase check needs rank >= 3")
 
@@ -90,14 +88,11 @@ def _rebase_trial(rng, basis, oracle) -> bool:
 
 def run_trial(cfg: CampaignConfig, trial: int) -> dict:
     rng = rng_from(cfg.seed, trial)
-    if cfg.norm_loader is not None:
-        oracle = cfg.norm_loader()
-        family = oracle.kind
+    if cfg.norm is not None:
+        oracle, family = cfg.norm, cfg.norm.kind
     else:
         _, oracle = random_norm(rng, cfg.rank, cfg.family)
         family = cfg.family
-    if oracle.rank < cfg.rank:
-        raise ValueError(f"norm covers rank {oracle.rank}, campaign needs {cfg.rank}")
     basis = reduce_basis(oracle, cfg.rank)
 
     row: dict = {name: "" for name in CSV_COLUMNS}
@@ -136,7 +131,7 @@ def run_campaign(cfg: CampaignConfig) -> tuple[list[dict], dict]:
         "failures": failures,
         "pass_rate": 100.0 * (cfg.trials - failures) / cfg.trials,
         "worst_l1_ratio": max(float(r["worst_l1_ratio"]) for r in rows),
-        "min_epsilon": min(float(r["min_epsilon"]) for r in rows),
+        "min_epsilon": float(np.min([float(r["min_epsilon"]) for r in rows])),
     }
     return rows, summary
 

@@ -187,20 +187,17 @@ def cmd_rebase(args) -> int:
 
 def cmd_campaign(args) -> int:
     checks = _parse_checks(args.checks, CHECK_NAMES)
-    loader = None
+    norm = None
     if args.norm is not None:
-        data = _load_json(args.norm)
-        spec = parse_norm_spec(data)
-        loader = lambda: oracle_for(spec)  # noqa: E731 - tiny closure
+        norm = oracle_for(parse_norm_spec(_load_json(args.norm)))
     cfg = CampaignConfig(
         rank=args.rank,
         trials=args.trials,
         family=args.family,
-        norm_loader=loader,
+        norm=norm,
         checks=checks,
         seed=args.seed,
         threads=args.threads,
-        out=args.out,
     )
     rows, summary = run_campaign(cfg)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:

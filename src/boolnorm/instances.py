@@ -27,6 +27,11 @@ NORM_FAMILIES = ("weighted", "graev", "closure")
 COST_LOW = 0.1
 COST_HIGH = 10.0
 
+# A raw approach sequence has at most this many terms, and random_sequence
+# gives up after this many unusable draws.
+SEQUENCE_MAX_TERMS = 6
+SEQUENCE_ATTEMPTS = 10
+
 
 def rng_from(seed: int, *key: int) -> np.random.Generator:
     """Independent generator for (seed, key...) - stable across runs."""
@@ -75,14 +80,12 @@ def random_norm(
     raise ValueError(f"unknown norm family {family!r}")
 
 
-def random_raw_sequence(
-    rng: np.random.Generator, rank: int, max_terms: int = 6
-) -> list[int]:
+def random_raw_sequence(rng: np.random.Generator, rank: int) -> list[int]:
     """Raw approach-sequence material: strictly increasing top letters with
     random lower support.  Parity is left to normalization."""
     if rank < 3:
         raise ValueError("sequences need rank >= 3")
-    count = int(rng.integers(2, min(max_terms, rank - 1) + 1))
+    count = int(rng.integers(2, min(SEQUENCE_MAX_TERMS, rank - 1) + 1))
     tops = np.sort(rng.choice(np.arange(2, rank + 1), size=count, replace=False))
     terms = []
     for t in tops:
@@ -93,18 +96,14 @@ def random_raw_sequence(
 
 
 def random_sequence(
-    rng: np.random.Generator,
-    basis: Basis,
-    oracle: NormOracle,
-    max_terms: int = 6,
-    attempts: int = 10,
+    rng: np.random.Generator, basis: Basis, oracle: NormOracle
 ) -> ApproachSequence:
     """Draw raw material until it normalizes to a usable sequence."""
     rank = len(basis.rows)
-    for _ in range(attempts):
-        raw = random_raw_sequence(rng, rank, max_terms)
+    for _ in range(SEQUENCE_ATTEMPTS):
+        raw = random_raw_sequence(rng, rank)
         try:
             return normalize_sequence(raw, basis, oracle)
         except UnusableSequenceError:
             continue
-    raise UnusableSequenceError(f"no usable sequence after {attempts} draws")
+    raise UnusableSequenceError(f"no usable sequence after {SEQUENCE_ATTEMPTS} draws")

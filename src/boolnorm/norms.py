@@ -340,7 +340,7 @@ def graev_oracle(spec: MetricSpec) -> NormOracle:
     )
 
 
-def closure_norm(base: BaseCostTable, *, rank_bound: int = EXHAUSTIVE_RANK_BOUND) -> NormOracle:
+def closure_norm(base: BaseCostTable) -> NormOracle:
     """Largest norm dominated by the cost table: the value at g is the
     cheapest finite decomposition of g into nonzero parts priced by the
     table.
@@ -350,8 +350,10 @@ def closure_norm(base: BaseCostTable, *, rank_bound: int = EXHAUSTIVE_RANK_BOUND
     Positive costs make the pass exact.
     """
     n = base.rank
-    if n > rank_bound:
-        raise RankTooLargeError(f"closure needs 2**{n} labels, bound is 2**{rank_bound}")
+    if n > EXHAUSTIVE_RANK_BOUND:
+        raise RankTooLargeError(
+            f"closure needs 2**{n} labels, bound is 2**{EXHAUSTIVE_RANK_BOUND}"
+        )
     size = 1 << n
     step = np.asarray(base.costs, dtype=float).copy()
     step[0] = np.inf  # the zero element is not a usable part
@@ -369,11 +371,6 @@ def closure_norm(base: BaseCostTable, *, rank_bound: int = EXHAUSTIVE_RANK_BOUND
 def table_norm(base: BaseCostTable) -> NormOracle:
     """Cost table used directly as a candidate norm, no closure applied."""
     return NormOracle(base.rank, table=np.asarray(base.costs, dtype=float), kind="table")
-
-
-def distance(oracle: NormOracle, g: Element, h: Element) -> float:
-    """Invariant metric induced by the norm: the norm of g + h."""
-    return oracle(g ^ h)
 
 
 def coordinate_norm(basis: Basis, oracle: NormOracle) -> NormOracle:
@@ -424,19 +421,16 @@ class AxiomReport:
         return out
 
 
-def check_norm_axioms(
-    oracle: NormOracle,
-    *,
-    tol: float = RELATIVE_TOLERANCE,
-    rank_bound: int = EXHAUSTIVE_RANK_BOUND,
-) -> AxiomReport:
+def check_norm_axioms(oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE) -> AxiomReport:
     """Exhaustive axiom check over the truncation: zero exactly at zero,
     finite and positive elsewhere, and subadditive on every ordered pair up
     to relative tolerance.  The first violating case (in mask order) is
     reported."""
     n = oracle.rank
-    if n > rank_bound:
-        raise RankTooLargeError(f"axiom check needs 4**{n} pairs, bound is rank {rank_bound}")
+    if n > EXHAUSTIVE_RANK_BOUND:
+        raise RankTooLargeError(
+            f"axiom check needs 4**{n} pairs, bound is rank {EXHAUSTIVE_RANK_BOUND}"
+        )
     size = 1 << n
     pairs = size * size
     t = oracle.table()
@@ -508,7 +502,3 @@ def oracle_for(spec: WeightSpec | MetricSpec | BaseCostTable) -> NormOracle:
     if isinstance(spec, BaseCostTable):
         return closure_norm(spec)
     raise TypeError(f"not a norm spec: {type(spec).__name__}")
-
-
-def oracle_from_spec(data: Mapping) -> NormOracle:
-    return oracle_for(parse_norm_spec(data))

@@ -108,50 +108,38 @@ def _argmin_exhaustive(
 
 
 def _argmin_pruned(
-    oracle: NormOracle, offset: Element, rows: tuple[Element, ...]
+    table: np.ndarray, offset: Element, rows: tuple[Element, ...]
 ) -> tuple[Element, float, int]:
     # Depth-first over row subsets.  A subtree below a partial element p,
     # with undecided rows j+1.., is cut only when N(p) minus the summed
     # norms of those rows strictly exceeds the incumbent: the triangle
     # inequality then rules out improvements *and* ties, so the answer is
     # identical to the exhaustive walk.
+    item = table.item
     k = len(rows)
-    row_norms = [oracle(r) for r in rows]
     suffix = [0.0] * (k + 1)
     for j in range(k - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + row_norms[j]
-
-    best = offset
-    best_norm = oracle(offset)
-    best_support: tuple[int, ...] | None = None
+        suffix[j] = suffix[j + 1] + item(rows[j])
+    best_norm = item(offset)
+    ties = [offset]
     evaluated = 1
-
-    def consider(elem: Element, v: float) -> None:
-        nonlocal best, best_norm, best_support
+    # (j, p): rows j.. are still undecided below p.  The child p + row j
+    # is pushed above the rest of p's rows, so it is walked first.
+    stack = [(0, offset)] if k else []
+    while stack:
+        j, cur = stack.pop()
+        if j + 1 < k:
+            stack.append((j + 1, cur))
+        child = cur ^ rows[j]
+        v = item(child)
+        evaluated += 1
         if v < best_norm:
-            best, best_norm, best_support = elem, v, None
+            best_norm, ties = v, [child]
         elif v == best_norm:
-            if best_support is None:
-                best_support = support(best)
-            s = support(elem)
-            if s < best_support:
-                best, best_support = elem, s
-
-    def walk(start: int, cur: Element, cur_norm: float) -> None:
-        nonlocal evaluated
-        for j in range(start, k):
-            child = cur ^ rows[j]
-            v = oracle(child)
-            evaluated += 1
-            consider(child, v)
-            if v - suffix[j + 1] <= best_norm:
-                walk(j + 1, child, v)
-
-    walk(0, offset, best_norm)
-    # walk refers to itself through its closure; dropping that cycle frees
-    # the oracle, and its table, as soon as the caller lets go of it.
-    walk = None  # noqa: F841
-    return best, best_norm, evaluated
+            ties.append(child)
+        if j + 1 < k and v - suffix[j + 1] <= best_norm:
+            stack.append((j + 1, child))
+    return min(ties, key=support), best_norm, evaluated
 
 
 def coset_argmin(
@@ -207,7 +195,7 @@ def reduce_basis_report(
     for k in range(1, rank + 1):
         size = 1 << (k - 1)
         if prune:
-            elem, norm, evaluated = _argmin_pruned(oracle, size, tuple(rows))
+            elem, norm, evaluated = _argmin_pruned(table, size, tuple(rows))
         else:
             members = span[:size] ^ size
             elem, norm = _argmin_dense(members, table[members])

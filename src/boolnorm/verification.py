@@ -54,7 +54,7 @@ def merge_reports(lemma: str, reports: Iterable[LemmaReport]) -> LemmaReport:
 
 
 def _coordinate_view(
-    basis: Basis, oracle: NormOracle, rank_bound: int
+    basis: Basis, oracle: NormOracle
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Tables over the coordinate masks c < 2**r of the basis: vals[c] is
     the norm of the element c selects, pop[c] its reduced length and low[c]
@@ -62,8 +62,10 @@ def _coordinate_view(
     Built by the doubling of span_elements: the masks in [2^j, 2^(j+1))
     are those below 2^j plus letter j."""
     r = len(basis.rows)
-    if r > rank_bound:
-        raise RankTooLargeError(f"checker needs 2**{r} coordinate sets, bound is {rank_bound}")
+    if r > EXHAUSTIVE_RANK_BOUND:
+        raise RankTooLargeError(
+            f"checker needs 2**{r} coordinate sets, bound is {EXHAUSTIVE_RANK_BOUND}"
+        )
     vals = oracle.values(span_elements(basis.rows))
     row_norm = vals[1 << np.arange(r)]
     pop = np.zeros(vals.size, dtype=np.int16)
@@ -88,15 +90,11 @@ def _letter_pass(
 
 
 def check_monotone_tail(
-    basis: Basis,
-    oracle: NormOracle,
-    *,
-    tol: float = RELATIVE_TOLERANCE,
-    rank_bound: int = EXHAUSTIVE_RANK_BOUND,
+    basis: Basis, oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE
 ) -> LemmaReport:
     """Top-letter bound: for every nonempty coordinate set, the norm of the
     highest-index row never exceeds the norm of the set's sum."""
-    vals, row_norm, _, _ = _coordinate_view(basis, oracle, rank_bound)
+    vals, row_norm, _, _ = _coordinate_view(basis, oracle)
     # The 2^j masks in [2^j, 2^(j+1)) are the sets whose top letter is j.
     lhs = np.repeat(row_norm, 1 << np.arange(row_norm.size))
     rhs = vals[1:]
@@ -108,15 +106,11 @@ def check_monotone_tail(
 
 
 def check_geometric_bound(
-    basis: Basis,
-    oracle: NormOracle,
-    *,
-    tol: float = RELATIVE_TOLERANCE,
-    rank_bound: int = EXHAUSTIVE_RANK_BOUND,
+    basis: Basis, oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE
 ) -> LemmaReport:
     """Doubling bound: in any reduced word, the k-th letter from the top
     costs at most 2**k times the word."""
-    vals, row_norm, pop, _ = _coordinate_view(basis, oracle, rank_bound)
+    vals, row_norm, pop, _ = _coordinate_view(basis, oracle)
     found = []
     for j, c, k, rhs in _letter_pass(vals, pop):
         bad = np.flatnonzero(exceeds(row_norm[j], rhs, tol))
@@ -129,17 +123,12 @@ def check_geometric_bound(
     return LemmaReport("L1", not violations, row_norm.size * (vals.size // 2), violations)
 
 
-def worst_geometric_ratio(
-    basis: Basis,
-    oracle: NormOracle,
-    *,
-    rank_bound: int = EXHAUSTIVE_RANK_BOUND,
-) -> float:
+def worst_geometric_ratio(basis: Basis, oracle: NormOracle) -> float:
     """Largest observed (letter norm) / (2**k * word norm) over words of
     length >= 2; <= 1 exactly when the doubling bound holds there.  Single
     letters are skipped because their depth-0 case is an exact identity.
     A non-finite norm, or a word norm <= 0, makes the ratio inf."""
-    vals, row_norm, pop, _ = _coordinate_view(basis, oracle, rank_bound)
+    vals, row_norm, pop, _ = _coordinate_view(basis, oracle)
     if row_norm.size < 2:
         return 0.0
     if not np.isfinite(vals[1:]).all() or (vals[pop >= 2] <= 0.0).any():
@@ -161,24 +150,25 @@ def separation_epsilon(coord_set: Iterable[int], basis: Basis, oracle: NormOracl
     for i in letters:
         if not 1 <= i <= len(rows):
             raise ValueError(f"coordinate {i} out of range 1..{len(rows)}")
-    cheapest = min(oracle(rows[i - 1]) for i in letters)
+    # np.min propagates NaN wherever it sits; Python's min would not.
+    cheapest = float(np.min([oracle(rows[i - 1]) for i in letters]))
     return cheapest / float(4 ** len(letters))
 
 
 def min_separation(basis: Basis, oracle: NormOracle) -> float:
     """Smallest separation radius over all coordinate sets, i.e. the
-    cheapest row norm over 4**rank."""
+    cheapest row norm over 4**rank; NaN if any row norm is NaN."""
     rows = basis.rows
-    return min(oracle(row) for row in rows) / float(4 ** len(rows))
+    return float(np.min([oracle(row) for row in rows])) / float(4 ** len(rows))
 
 
 def _stratum_report(
-    lemma: str, basis: Basis, oracle: NormOracle, n: int, tol: float, rank_bound: int
+    lemma: str, basis: Basis, oracle: NormOracle, n: int, tol: float
 ) -> LemmaReport:
     """Separation of every word of reduced length n from its partners: the
     other words of its stratum for L2, every strictly shorter word for L3.
     Each pair must stay at least the word's separation radius apart."""
-    vals, _, pop, low = _coordinate_view(basis, oracle, rank_bound)
+    vals, _, pop, low = _coordinate_view(basis, oracle)
     if n > len(basis.rows):
         raise StratumRangeError(f"stratum length {n} exceeds rank {len(basis.rows)}")
     same = lemma == "L2"
@@ -206,29 +196,19 @@ def _stratum_report(
 
 
 def check_discreteness(
-    basis: Basis,
-    oracle: NormOracle,
-    n: int,
-    *,
-    tol: float = RELATIVE_TOLERANCE,
-    rank_bound: int = EXHAUSTIVE_RANK_BOUND,
+    basis: Basis, oracle: NormOracle, n: int, *, tol: float = RELATIVE_TOLERANCE
 ) -> LemmaReport:
     """Within the reduced-length-n stratum, every two distinct words stay at
     least the first word's separation radius apart."""
-    return _stratum_report("L2", basis, oracle, n, tol, rank_bound)
+    return _stratum_report("L2", basis, oracle, n, tol)
 
 
 def check_closedness(
-    basis: Basis,
-    oracle: NormOracle,
-    n: int,
-    *,
-    tol: float = RELATIVE_TOLERANCE,
-    rank_bound: int = EXHAUSTIVE_RANK_BOUND,
+    basis: Basis, oracle: NormOracle, n: int, *, tol: float = RELATIVE_TOLERANCE
 ) -> LemmaReport:
     """Words of reduced length n keep their separation radius away from
     every strictly shorter word (including the zero word)."""
-    return _stratum_report("L3", basis, oracle, n, tol, rank_bound)
+    return _stratum_report("L3", basis, oracle, n, tol)
 
 
 def check_null_tail(

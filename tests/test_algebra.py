@@ -10,14 +10,11 @@ from boolnorm import (
     NotInSpanError,
     StratumRangeError,
     TriangularBasis,
-    TruncationContext,
-    add,
     element_from_coordinates,
     enumerate_stratum,
     express_in_basis,
     from_support,
     gf2_rank,
-    max_index,
     reduce_word,
     reduced_length,
     support,
@@ -39,27 +36,32 @@ def brute_force_coordinates(g, rows):
     return hits
 
 
+# Group addition is XOR of the masks: the symmetric difference of the supports.
+
+
 def test_add_examples():
-    assert add(from_support([1, 3]), from_support([3, 5])) == from_support([1, 5])
+    assert from_support([1, 3]) ^ from_support([3, 5]) == from_support([1, 5])
     g = from_support([2, 7])
-    assert add(g, g) == 0
-    assert add(0, g) == g
+    assert g ^ g == 0
+    assert 0 ^ g == g
 
 
 @given(elements, elements)
 def test_add_commutes(g, h):
-    assert add(g, h) == add(h, g)
+    expected = tuple(sorted(set(support(g)) ^ set(support(h))))
+    assert support(g ^ h) == support(h ^ g) == expected
 
 
 @given(elements, elements, elements)
 def test_add_associates(g, h, k):
-    assert add(add(g, h), k) == add(g, add(h, k))
+    word = support(g) + support(h) + support(k)
+    assert reduce_word(word) == (g ^ h) ^ k == g ^ (h ^ k)
 
 
 @given(elements)
 def test_add_self_inverse_and_identity(g):
-    assert add(g, g) == 0
-    assert add(g, 0) == g
+    assert reduce_word(support(g) * 2) == 0
+    assert reduce_word(support(g)) == g
 
 
 def test_support_round_trip():
@@ -101,21 +103,30 @@ def test_reduce_word_examples():
 def test_reduce_word_matches_folded_add(letters):
     total = 0
     for i in letters:
-        total = add(total, from_support([i]))
+        total ^= from_support([i])
     assert reduce_word(letters) == total
 
 
+# Generator i sits on bit i-1, so the largest index of g is g.bit_length().
+
+
+def max_index(g):
+    return max(support(g), default=0)
+
+
 def test_max_index_examples():
-    assert max_index(0) == 0
-    assert max_index(from_support([2, 7, 9])) == 9
-    assert max_index(from_support([4])) == 4
+    assert max_index(0) == 0 == (0).bit_length()
+    g = from_support([2, 7, 9])
+    assert max_index(g) == 9 == g.bit_length()
+    assert max_index(from_support([4])) == 4 == from_support([4]).bit_length()
 
 
 @given(elements, elements)
 def test_max_index_of_sum(g, h):
-    assert max_index(add(g, h)) <= max(max_index(g), max_index(h))
+    assert max_index(g ^ h) == (g ^ h).bit_length()
+    assert max_index(g ^ h) <= max(max_index(g), max_index(h))
     if max_index(g) != max_index(h):
-        assert max_index(add(g, h)) == max(max_index(g), max_index(h))
+        assert max_index(g ^ h) == max(max_index(g), max_index(h))
 
 
 def test_express_in_basis_derived_example():
@@ -175,17 +186,17 @@ def test_enumerate_stratum_examples():
 
 
 def test_enumerate_stratum_counts_and_partition():
-    ctx = TruncationContext(6)
+    rank = 6
     seen = set()
     import math
 
-    for k in range(ctx.rank + 1):
-        stratum = list(enumerate_stratum(ctx, k))
-        assert len(stratum) == math.comb(ctx.rank, k)
+    for k in range(rank + 1):
+        stratum = list(enumerate_stratum(rank, k))
+        assert len(stratum) == math.comb(rank, k)
         assert len(set(stratum)) == len(stratum)
         assert not seen & set(stratum)
         seen |= set(stratum)
-    assert len(seen) == ctx.size
+    assert len(seen) == 1 << rank
 
 
 def test_enumerate_stratum_errors():
@@ -206,15 +217,6 @@ def test_gf2_rank():
     assert gf2_rank([]) == 0
     assert gf2_rank([0b01, 0b11, 0b10]) == 2
     assert gf2_rank([0b001, 0b011, 0b101, 0b111]) == 3
-
-
-def test_truncation_context():
-    ctx = TruncationContext(3)
-    assert ctx.size == 8
-    assert list(ctx.elements()) == list(range(8))
-    assert ctx.contains(from_support([3])) and not ctx.contains(from_support([4]))
-    with pytest.raises(ValueError):
-        TruncationContext(0)
 
 
 @settings(max_examples=40)

@@ -252,3 +252,51 @@ def test_verify_without_the_gate_fails_on_overflowing_norms(tmp_path, capsys):
     assert main(["verify", "--norm", norm]) == 2
     assert "finite" in capsys.readouterr().err
 
+
+
+def test_campaign_shares_one_fixed_norm_across_threads(tmp_path, monkeypatch):
+    # A graev oracle builds its table lazily, so the threads race to build
+    # it; the shared oracle is built once and the CSV bytes do not change.
+    import sys
+
+    import boolnorm.cli as cli
+    from boolnorm.instances import random_metric_spec, rng_from
+    from boolnorm.norms import spec_to_json
+
+    norm = write_json(tmp_path / "g.json", spec_to_json(random_metric_spec(rng_from(5, 0), 5)))
+    built, oracle_for = [], cli.oracle_for
+
+    def counting_oracle_for(spec):
+        built.append(spec)
+        return oracle_for(spec)
+
+    monkeypatch.setattr(cli, "oracle_for", counting_oracle_for)
+    args = ["campaign", "--rank", "5", "--trials", "12", "--norm", norm, "--checks", "L0iii,L1"]
+    out1, out8 = tmp_path / "a.csv", tmp_path / "b.csv"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert main(args + ["--threads", "8", "--out", str(out8)]) == 0
+    finally:
+        sys.setswitchinterval(interval)
+    assert main(args + ["--threads", "1", "--out", str(out1)]) == 0
+    assert len(built) == 2  # one oracle per run, not one per trial
+    assert out1.read_bytes() == out8.read_bytes()
+
+
+def test_campaign_refuses_a_fixed_norm_below_its_rank(tmp_path, norm_a_file, capsys):
+    args = ["campaign", "--rank", "3", "--trials", "1", "--norm", norm_a_file]
+    assert main(args + ["--out", str(tmp_path / "t.csv")]) == 2
+    assert "norm covers rank 2, campaign needs 3" in capsys.readouterr().err
+
+
+def test_campaign_summary_minimum_propagates_nan(monkeypatch):
+    from boolnorm import campaign
+
+    for radii in ([0.0625, float("nan")], [float("nan"), 0.0625]):
+        it = iter(radii)
+        monkeypatch.setattr(campaign, "min_separation", lambda basis, oracle: next(it))
+        cfg = campaign.CampaignConfig(rank=2, trials=2, checks=("L0iii",))
+        rows, summary = campaign.run_campaign(cfg)
+        assert [r["min_epsilon"] for r in rows] == [repr(x) for x in radii]
+        assert repr(summary["min_epsilon"]) == "nan"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boolnorm import (
+    EXHAUSTIVE_RANK_BOUND,
     BaseCostTable,
     GeneralBasis,
     IndexOutOfRankError,
@@ -18,7 +19,6 @@ from boolnorm import (
     check_norm_axioms,
     closure_norm,
     coordinate_norm,
-    distance,
     from_support,
     graev_norm,
     graev_oracle,
@@ -196,9 +196,14 @@ def test_closure_axioms_pass():
 
 
 def test_closure_rank_bound():
-    base = random_base_table(rng_from(1, 1), 4)
-    with pytest.raises(RankTooLargeError):
-        closure_norm(base, rank_bound=3)
+    # Both 4**n kernels refuse the first rank above the exhaustive bound
+    # before doing any work.
+    n = EXHAUSTIVE_RANK_BOUND + 1
+    base = BaseCostTable(n, (0.0,) + (1.0,) * ((1 << n) - 1))
+    with pytest.raises(RankTooLargeError, match=r"closure needs 2\*\*15 labels"):
+        closure_norm(base)
+    with pytest.raises(RankTooLargeError, match=r"axiom check needs 4\*\*15 pairs"):
+        check_norm_axioms(table_norm(base))
 
 
 def test_base_cost_table_validation():
@@ -227,10 +232,11 @@ def test_axiom_checker_flags_zero_and_positivity():
 
 
 def test_distance_properties(norm_a):
-    g, h = 0b01, 0b10
-    assert distance(norm_a, g, g) == 0.0
+    # The invariant metric a norm induces is d(g, h) = N(g + h).
+    g = 0b01
+    assert norm_a(g ^ g) == 0.0
     w = weighted_oracle(WeightSpec((1.0, 1.0)))
-    assert distance(w, 0b01, 0b10) == 2.0
+    assert w(0b01 ^ 0b10) == 2.0
 
 
 @settings(max_examples=60)
@@ -241,11 +247,15 @@ def test_distance_properties(norm_a):
 )
 def test_distance_is_translation_invariant_metric(g, h, x):
     oracle = weighted_oracle(WeightSpec((0.7, 1.3, 2.9)))
-    assert distance(oracle, g, h) == distance(oracle, h, g)
-    assert (distance(oracle, g, h) == 0.0) == (g == h)
-    assert distance(oracle, x ^ g, x ^ h) == distance(oracle, g, h)
+
+    def d(a, b):
+        return oracle(a ^ b)
+
+    assert d(g, h) == d(h, g)
+    assert (d(g, h) == 0.0) == (g == h)
+    assert d(x ^ g, x ^ h) == d(g, h)
     k = (g ^ h) & 0b101
-    assert distance(oracle, g, h) <= distance(oracle, g, g ^ k) + distance(oracle, g ^ k, h) + 1e-12
+    assert d(g, h) <= d(g, g ^ k) + d(g ^ k, h) + 1e-12
 
 
 def test_coordinate_norm_composes(norm_a, norm_a_basis):

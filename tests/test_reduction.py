@@ -24,7 +24,7 @@ from boolnorm import (
     table_norm,
     weighted_oracle,
 )
-from boolnorm.instances import random_base_table, rng_from
+from boolnorm.instances import random_base_table, random_norm, rng_from
 from boolnorm.norms import closure_norm
 from boolnorm.reduction import _argmin_exhaustive, search_bound
 
@@ -156,6 +156,30 @@ def test_candidates_evaluated_counts(norm_a):
     assert [rec.candidates_evaluated for rec in records] == [1, 2]
     _, pruned_records = reduce_basis_report(norm_a, 2, prune=True)
     assert pruned_records[-1].candidates_evaluated <= 2
+
+
+# Per-row candidates_evaluated of the pruned walk, recorded before the walk
+# was rewritten as an explicit-stack loop: the cut and the visiting order
+# decide these counts, so a change to either shows here.
+PRUNED_CANDIDATES = {
+    ("weighted", 0, 8): [1, 2, 4, 6, 8, 14, 22, 61],
+    ("weighted", 1, 10): [1, 2, 3, 5, 8, 16, 25, 110, 177, 234],
+    ("weighted", 2, 12): [1, 2, 3, 5, 14, 24, 44, 64, 96, 158, 314, 891],
+    ("graev", 0, 8): [1, 2, 4, 8, 16, 30, 61, 103],
+    ("graev", 1, 10): [1, 2, 4, 7, 16, 27, 36, 75, 128, 221],
+    ("graev", 2, 12): [1, 2, 4, 8, 14, 27, 41, 74, 145, 283, 474, 737],
+    ("closure", 0, 8): [1, 2, 4, 8, 16, 29, 58, 98],
+    ("closure", 1, 10): [1, 2, 4, 8, 16, 32, 64, 124, 216, 405],
+    ("closure", 2, 12): [1, 2, 4, 8, 16, 32, 52, 104, 217, 421, 843, 1627],
+}
+
+
+@pytest.mark.parametrize("family, seed, rank", sorted(PRUNED_CANDIDATES))
+def test_pruned_candidates_evaluated_are_pinned(family, seed, rank):
+    _, oracle = random_norm(rng_from(seed, rank), rank, family)
+    basis, records = reduce_basis_report(oracle, rank, prune=True)
+    assert [rec.candidates_evaluated for rec in records] == PRUNED_CANDIDATES[family, seed, rank]
+    assert basis == reduce_basis(oracle, rank)
 
 
 def test_pruned_search_survives_heavy_ties():

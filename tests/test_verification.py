@@ -320,3 +320,115 @@ def test_vectorized_tail_and_doubling_match_scalar_loops_with_non_finite_values(
     assert same(listed(l1), doubling) and l1.passed == (not doubling)
     assert l0.checked == (1 << rank) - 1 and l1.checked == rank << (rank - 1)
     assert worst_geometric_ratio(basis, oracle) == worst
+
+
+@pytest.mark.parametrize(
+    "table", [[0.0, 1.0, float("nan"), 2.0], [0.0, float("nan"), 1.0, 2.0]]
+)
+def test_separation_minimum_propagates_nan_wherever_it_sits(table):
+    from boolnorm import TriangularBasis
+
+    basis, oracle = TriangularBasis((0b01, 0b10)), NormOracle(2, table=table)
+    assert math.isnan(min_separation(basis, oracle))
+    assert math.isnan(separation_epsilon((1, 2), basis, oracle))
+    assert math.isnan(separation_epsilon((2, 1), basis, oracle))
+
+
+def test_separation_minimum_is_a_python_float(norm_a, norm_a_basis):
+    # The campaign CSV writes repr() of it, so it must not be a numpy scalar.
+    radii = (
+        min_separation(norm_a_basis, norm_a),
+        separation_epsilon((1, 2), norm_a_basis, norm_a),
+    )
+    for value in radii:
+        assert type(value) is float and repr(value) == "0.0625"
+
+
+def scalar_strata(basis, oracle, n, tol=1e-9):
+    """Plain loops over coordinate masks for L2 and L3 at stratum n, with the
+    scalar form of the tolerance predicate and separation_epsilon as the
+    radius (NaN when any letter norm is).  Returns (checked, violations)
+    per lemma."""
+    from boolnorm import element_from_coordinates, support
+
+    def exceeds(lhs, rhs):
+        if not (math.isfinite(lhs) and math.isfinite(rhs)):
+            return True
+        return lhs > rhs + tol * max(abs(lhs), abs(rhs))
+
+    def norm(c):
+        return oracle(element_from_coordinates(basis, support(c)))
+
+    masks = range(1 << len(basis.rows))
+    out = {}
+    for lemma in ("L2", "L3"):
+        checked, viols = 0, []
+        for w in masks:
+            letters = support(w)
+            if len(letters) != n:
+                continue
+            eps = separation_epsilon(letters, basis, oracle) if letters else math.inf
+            for p in masks:
+                size = len(support(p))
+                if (size == n and p != w) if lemma == "L2" else size < n:
+                    checked += 1
+                    d = norm(w ^ p)
+                    if exceeds(eps, d):
+                        viols.append(({"w": list(letters), "w_prime": list(support(p))}, d, eps))
+        out[lemma] = checked, viols
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_vectorized_strata_match_scalar_loops_with_non_finite_values(data):
+    from boolnorm import TriangularBasis
+
+    rank = data.draw(st.integers(min_value=1, max_value=5))
+    value = st.one_of(
+        st.sampled_from([0.5, 1.0, 2.0, 3.0, 1.0 + 1e-10, 7.25, 0.0, 1 / 64]),
+        st.sampled_from([float("nan"), float("inf")]),
+    )
+    table = [0.0] + data.draw(st.lists(value, min_size=(1 << rank) - 1, max_size=(1 << rank) - 1))
+    rows = tuple(
+        data.draw(st.integers(min_value=0, max_value=(1 << j) - 1)) | 1 << j for j in range(rank)
+    )
+    basis, oracle = TriangularBasis(rows), NormOracle(rank, table=table)
+
+    def reprs(viols):
+        # NaN != NaN, so compare the witnesses and the values' reprs
+        return [(w, repr(lhs), repr(rhs)) for w, lhs, rhs in viols]
+
+    for n in range(rank + 1):
+        want = scalar_strata(basis, oracle, n)
+        for lemma, checker in (("L2", check_discreteness), ("L3", check_closedness)):
+            report = checker(basis, oracle, n)
+            checked, viols = want[lemma]
+            got = [(v.witness, v.lhs, v.rhs) for v in report.violations]
+            assert reprs(got) == reprs(viols), (lemma, n)
+            assert report.checked == checked and report.passed == (not viols)
+
+
+def test_checkers_refuse_bases_above_the_exhaustive_bound():
+    from boolnorm import (
+        EXHAUSTIVE_RANK_BOUND,
+        RankTooLargeError,
+        TriangularBasis,
+        WeightSpec,
+        weighted_oracle,
+    )
+
+    n = EXHAUSTIVE_RANK_BOUND + 1
+    oracle = weighted_oracle(WeightSpec((1.0,) * n))
+    at_bound = TriangularBasis(tuple(1 << j for j in range(n - 1)))
+    assert check_monotone_tail(at_bound, oracle).passed
+    over = TriangularBasis(tuple(1 << j for j in range(n)))
+    for check in (
+        check_monotone_tail,
+        check_geometric_bound,
+        worst_geometric_ratio,
+        lambda basis, oracle: check_discreteness(basis, oracle, 1),
+        lambda basis, oracle: check_closedness(basis, oracle, 1),
+    ):
+        with pytest.raises(RankTooLargeError, match=r"checker needs 2\*\*15 coordinate sets"):
+            check(over, oracle)
