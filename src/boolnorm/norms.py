@@ -359,11 +359,13 @@ def closure_norm(base: BaseCostTable) -> NormOracle:
     step[0] = np.inf  # the zero element is not a usable part
     dist = step.copy()
     dist[0] = 0.0
-    done = np.zeros(size, dtype=bool)
+    # inf once a label is final, so the argmin of dist + done skips final
+    # labels; positive finite costs keep every dist finite.
+    done = np.zeros(size)
     idx = np.arange(size)
     for _ in range(size):
-        u = int(np.argmin(np.where(done, np.inf, dist)))
-        done[u] = True
+        u = int((dist + done).argmin())
+        done[u] = np.inf
         np.minimum(dist, dist[u] + step[idx ^ u], out=dist)
     return NormOracle(n, table=dist, kind="closure")
 

@@ -12,7 +12,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .algebra import Basis, span_elements, support
+from .algebra import Basis, _index, span_elements, support
 from .errors import RankTooLargeError, StratumRangeError
 from .norms import EXHAUSTIVE_RANK_BOUND, RELATIVE_TOLERANCE, NormOracle, exceeds
 
@@ -143,7 +143,7 @@ def worst_geometric_ratio(basis: Basis, oracle: NormOracle) -> float:
 def separation_epsilon(coord_set: Iterable[int], basis: Basis, oracle: NormOracle) -> float:
     """Separation radius of a nonempty coordinate set: its cheapest letter
     norm divided by 4**n, n being the set size."""
-    letters = tuple(int(i) for i in coord_set)
+    letters = tuple(_index(i) for i in coord_set)
     if not letters:
         raise ValueError("coordinate set must be nonempty")
     rows = basis.rows
@@ -167,7 +167,13 @@ def _stratum_report(
 ) -> LemmaReport:
     """Separation of every word of reduced length n from its partners: the
     other words of its stratum for L2, every strictly shorter word for L3.
-    Each pair must stay at least the word's separation radius apart."""
+    Each pair must stay at least the word's separation radius apart.
+
+    Every distance read is vals[c] for some nonzero c, so at least
+    m0 = min(vals[1:]).  On a finite table with tol >= 0 a violation needs
+    eps > d + tol * max(|eps|, |d|) >= d >= m0, so a word whose radius is
+    at most m0 is cleared without a pair scan; `checked` still counts every
+    pair covered.  A NaN or inf value, or tol < 0, scans every word."""
     vals, _, pop, low = _coordinate_view(basis, oracle)
     if n > len(basis.rows):
         raise StratumRangeError(f"stratum length {n} exceeds rank {len(basis.rows)}")
@@ -178,8 +184,12 @@ def _stratum_report(
     if checked == 0:
         return LemmaReport(lemma, True, checked)
     eps = low[stratum] / float(4**n)
+    scan = range(stratum.size)
+    if tol >= 0 and np.isfinite(vals[1:]).all():
+        scan = np.flatnonzero(eps > vals[1:].min()).tolist()
     violations: list[Violation] = []
-    for i, w in enumerate(stratum.tolist()):
+    for i in scan:
+        w = int(stratum[i])
         d = vals[partners ^ w]
         bad = exceeds(eps[i], d, tol)
         if same:
@@ -220,7 +230,7 @@ def check_null_tail(
 ) -> LemmaReport:
     """Pairwise tail bound over strictly increasing row indices: the
     higher-index letter never costs more than the two-letter sum."""
-    idx = tuple(int(i) for i in indices)
+    idx = tuple(_index(i) for i in indices)
     rows = basis.rows
     for a, b in zip(idx, idx[1:]):
         if a >= b:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -193,6 +194,29 @@ def test_closure_axioms_pass():
     for i in range(5):
         base = random_base_table(rng_from(606, i), 6)
         assert check_norm_axioms(closure_norm(base)).passed
+
+
+# SHA-256 of closure_norm(random_base_table(rng_from(seed, rank), rank))
+# table bytes, recorded before the label-setting loop dropped np.where: the
+# order labels are finalized in decides every float sum, so a change to the
+# choice of u shows here.
+CLOSURE_TABLE_SHA256 = {
+    (0, 4): "82f9690b59bf07a8031ebc2c2ca9ca4f2b6176abfcfb3075394c26de81b309a5",
+    (1, 4): "7ee6878f62ec0bb6d218e18de19a43e2a0b97e6dd06af9cc4eec63f386f0f191",
+    (2, 4): "8a289849833ccb350b03d1cb1ab0770844c8ed4a11789f72931b4f3874040d4a",
+    (0, 8): "05fae39afc3a67ea45544c1051265b1080f2caa3d0788c87bf3f30826ec8ccc4",
+    (1, 8): "f17ce387684c4a203a4530cfd51d586dba2f06408a39ce755a3478bfe5432328",
+    (2, 8): "5d3779165c06f552fabed28d1ca4e8cd2ac39cfb4490d1a0c44986940aedcde6",
+    (0, 10): "7c130036b1e224cab55cbf50bbde2b29051dc79b9a9c35bc067c5f2fb07e3830",
+    (1, 10): "66ebbed38c8273e437cddbae280c9fd42192d5440739141fa4ea22dd6c86cebc",
+    (2, 10): "394ae2f6fe6f04ba148f3d49de957d8bd0a98a052bd3db5a28df7faf35eb3330",
+}
+
+
+@pytest.mark.parametrize("seed, rank", sorted(CLOSURE_TABLE_SHA256))
+def test_closure_tables_are_pinned(seed, rank):
+    table = closure_norm(random_base_table(rng_from(seed, rank), rank)).table()
+    assert hashlib.sha256(table.tobytes()).hexdigest() == CLOSURE_TABLE_SHA256[seed, rank]
 
 
 def test_closure_rank_bound():

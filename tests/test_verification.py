@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from boolnorm import (
     separation_epsilon,
     worst_geometric_ratio,
 )
+from boolnorm import verification
 from boolnorm.instances import random_norm, rng_from
 
 
@@ -62,6 +64,15 @@ def test_separation_epsilon_examples(norm_a, norm_a_basis):
     assert separation_epsilon((2,), norm_a_basis, norm_a) == pytest.approx(2.0 / 4)
     with pytest.raises(ValueError):
         separation_epsilon((), norm_a_basis, norm_a)
+
+
+@pytest.mark.parametrize("bad", [1.9, 1.0, True, np.True_, "1"])
+def test_separation_epsilon_refuses_non_integer_coordinates(norm_a, norm_a_basis, bad):
+    with pytest.raises(TypeError, match="index must be an integer"):
+        separation_epsilon((bad,), norm_a_basis, norm_a)
+    with pytest.raises(TypeError, match="index must be an integer"):
+        separation_epsilon((1, bad), norm_a_basis, norm_a)
+    assert separation_epsilon((np.int64(2),), norm_a_basis, norm_a) == 0.5
 
 
 def test_separation_epsilon_scales_with_norm(norm_a, norm_a_basis):
@@ -123,6 +134,13 @@ def test_null_tail_validates_indices(norm_a, norm_a_basis):
         check_null_tail(norm_a_basis, norm_a, (2, 1))
     with pytest.raises(ValueError):
         check_null_tail(norm_a_basis, norm_a, (1, 3))
+
+
+@pytest.mark.parametrize("bad", [(1.5, 2.2), (1, 2.0), (True, 2), (1, np.True_)])
+def test_null_tail_refuses_non_integer_indices(norm_a, norm_a_basis, bad):
+    with pytest.raises(TypeError, match="index must be an integer"):
+        check_null_tail(norm_a_basis, norm_a, bad)
+    assert check_null_tail(norm_a_basis, norm_a, np.array([1, 2])).checked == 1
 
 
 def test_stratum_range_guard(norm_a, norm_a_basis):
@@ -379,34 +397,93 @@ def scalar_strata(basis, oracle, n, tol=1e-9):
     return out
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_vectorized_strata_match_scalar_loops_with_non_finite_values(data):
+def draw_table_instance(data, value):
+    """A random triangular basis and a table norm whose nonzero entries are
+    drawn from `value`."""
     from boolnorm import TriangularBasis
 
     rank = data.draw(st.integers(min_value=1, max_value=5))
-    value = st.one_of(
-        st.sampled_from([0.5, 1.0, 2.0, 3.0, 1.0 + 1e-10, 7.25, 0.0, 1 / 64]),
-        st.sampled_from([float("nan"), float("inf")]),
-    )
     table = [0.0] + data.draw(st.lists(value, min_size=(1 << rank) - 1, max_size=(1 << rank) - 1))
     rows = tuple(
         data.draw(st.integers(min_value=0, max_value=(1 << j) - 1)) | 1 << j for j in range(rank)
     )
-    basis, oracle = TriangularBasis(rows), NormOracle(rank, table=table)
+    return TriangularBasis(rows), NormOracle(rank, table=table)
 
+
+def assert_strata_match_scalar_loops(basis, oracle, tol=1e-9):
     def reprs(viols):
         # NaN != NaN, so compare the witnesses and the values' reprs
         return [(w, repr(lhs), repr(rhs)) for w, lhs, rhs in viols]
 
-    for n in range(rank + 1):
-        want = scalar_strata(basis, oracle, n)
+    for n in range(len(basis.rows) + 1):
+        want = scalar_strata(basis, oracle, n, tol)
         for lemma, checker in (("L2", check_discreteness), ("L3", check_closedness)):
-            report = checker(basis, oracle, n)
+            report = checker(basis, oracle, n, tol=tol)
             checked, viols = want[lemma]
             got = [(v.witness, v.lhs, v.rhs) for v in report.violations]
             assert reprs(got) == reprs(viols), (lemma, n)
             assert report.checked == checked and report.passed == (not viols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_vectorized_strata_match_scalar_loops_with_non_finite_values(data):
+    value = st.one_of(
+        st.sampled_from([0.5, 1.0, 2.0, 3.0, 1.0 + 1e-10, 7.25, 0.0, 1 / 64]),
+        st.sampled_from([float("nan"), float("inf")]),
+    )
+    assert_strata_match_scalar_loops(*draw_table_instance(data, value))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_radius_bound_matches_scalar_loops_on_finite_tables(data):
+    """Finite tables take the radius bound: words with eps <= min(vals[1:])
+    are cleared unscanned.  Multiples of 1/64 and powers of 1/4 put radii
+    (a row norm over 4**n) exactly on that minimum; zeros and negative
+    entries move it; a negative tol must scan every word."""
+    value = st.one_of(
+        st.integers(min_value=-4, max_value=192).map(lambda k: k / 64),
+        st.integers(min_value=0, max_value=4).map(lambda k: 4.0**-k),
+        st.sampled_from([1.0 + 1e-10, 7.25, 3 * 4.0**-3]),
+    )
+    tol = data.draw(st.sampled_from([0.0, 1e-9, 0.25, -1e-9, -0.5]))
+    assert_strata_match_scalar_loops(*draw_table_instance(data, value), tol)
+
+
+def test_radius_bound_tie_and_negative_tol():
+    from boolnorm import TriangularBasis
+
+    # Identity basis, rows of norm 1 and 1/4, sum of norm 1/16 = min(vals[1:]).
+    # At n = 1 the radii are 1/4 and 1/16: the second sits exactly on the
+    # minimum, so with tol = 0 it is cleared and its tie d = 1/16 is no
+    # violation, while any negative tol turns that tie into one.
+    basis = TriangularBasis((0b01, 0b10))
+    oracle = NormOracle(2, table=[0.0, 1.0, 0.25, 1 / 16])
+    first = ({"w": [1], "w_prime": [2]}, 1 / 16, 0.25)
+    tie = ({"w": [2], "w_prime": [1]}, 1 / 16, 1 / 16)
+    for tol, want in ((0.0, [first]), (-1e-9, [first, tie])):
+        report = check_discreteness(basis, oracle, 1, tol=tol)
+        assert [(v.witness, v.lhs, v.rhs) for v in report.violations] == want
+        assert report.checked == 2
+        assert_strata_match_scalar_loops(basis, oracle, tol)
+
+
+def test_radius_bound_skips_the_pair_scan_of_cleared_words(monkeypatch):
+    oracle, basis = next(conforming_instances(8, 1, 907))
+    exceeds, calls = verification.exceeds, []
+
+    def counting_exceeds(lhs, rhs, tol):
+        calls.append(lhs)
+        return exceeds(lhs, rhs, tol)
+
+    monkeypatch.setattr(verification, "exceeds", counting_exceeds)
+    for lemma in ("L2", "L3"):
+        calls.clear()
+        report = verification.LEMMA_CHECKS[lemma](basis, oracle)
+        assert report.passed and report.checked > 0
+        # one pair scan per uncleared word, against 2**8 words in all
+        assert len(calls) < 1 << 7, lemma
 
 
 def test_checkers_refuse_bases_above_the_exhaustive_bound():
