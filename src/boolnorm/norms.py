@@ -348,6 +348,12 @@ def closure_norm(base: BaseCostTable) -> NormOracle:
     Label-setting relaxation: elements are finalized in increasing value
     order and every single-part extension of a finalized element is relaxed.
     Positive costs make the pass exact.
+
+    Only extensions priced below top, the largest value of a label not yet
+    final, are relaxed: a candidate at or above top is at or above every
+    live label, and above every final one since costs are positive, so it
+    changes nothing.  The pass stops at the first label whose cheapest
+    extension reaches top.
     """
     n = base.rank
     if n > EXHAUSTIVE_RANK_BOUND:
@@ -359,15 +365,37 @@ def closure_norm(base: BaseCostTable) -> NormOracle:
     step[0] = np.inf  # the zero element is not a usable part
     dist = step.copy()
     dist[0] = 0.0
+    parts = np.argsort(step)
+    ascending = step[parts]
     # inf once a label is final, so the argmin of dist + done skips final
     # labels; positive finite costs keep every dist finite.
     done = np.zeros(size)
-    idx = np.arange(size)
-    for _ in range(size):
+    for k in range(size):
+        if not k % 32:
+            # Values only fall and labels only become final, so a stale top
+            # is still at or above every live label.
+            top = (dist - done).max()
         u = int((dist + done).argmin())
+        du = dist[u]
+        if du + ascending[0] >= top:
+            break
         done[u] = np.inf
-        np.minimum(dist, dist[u] + step[idx ^ u], out=dist)
+        m = _window_end(ascending, du, top)
+        targets = parts[:m] ^ u
+        dist[targets] = np.minimum(dist[targets], du + ascending[:m])
     return NormOracle(n, table=dist, kind="closure")
+
+
+def _window_end(ascending: np.ndarray, base: float, top: float) -> int:
+    """A position j with base + ascending[b] >= top for every b >= j, at or
+    after the first such position: ascending[:j] holds every value whose
+    rounded sum with base falls below top."""
+    j = int(ascending.searchsorted(top - base))
+    # top - base rounds too, so step over any run of equal values whose
+    # rounded sum with base is still below top.
+    while j < ascending.size and base + ascending[j] < top:
+        j = int(ascending.searchsorted(ascending[j], "right"))
+    return j
 
 
 def table_norm(base: BaseCostTable) -> NormOracle:
@@ -426,13 +454,20 @@ class AxiomReport:
 def check_norm_axioms(oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE) -> AxiomReport:
     """Exhaustive axiom check over the truncation: zero exactly at zero,
     finite and positive elsewhere, and subadditive on every ordered pair up
-    to relative tolerance.  The first violating case (in mask order) is
-    reported."""
+    to relative tolerance tol >= 0.  The first violating case (in mask
+    order) is reported, and pairs_checked counts every pair covered.
+
+    Subadditivity is scanned only inside a value window: t[g ^ h] is at
+    most T = max(t), so a pair with t[g] + t[h] >= T cannot fail.  Rows
+    are walked in ascending value order, each over the partners whose sum
+    with it stays below T, and the walk ends at the first empty row."""
     n = oracle.rank
     if n > EXHAUSTIVE_RANK_BOUND:
         raise RankTooLargeError(
             f"axiom check needs 4**{n} pairs, bound is rank {EXHAUSTIVE_RANK_BOUND}"
         )
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a nonnegative real, got {tol}")
     size = 1 << n
     pairs = size * size
     t = oracle.table()
@@ -448,28 +483,39 @@ def check_norm_axioms(oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE) ->
             return AxiomReport(
                 False, pairs, AxiomViolation(axiom, support(g), None, float(t[g]), bound)
             )
-    # bad(g, h) is symmetric (IEEE addition commutes), so scanning h >= g
-    # suffices: a violation at h < g would have been found in row h first.
-    # The values are now finite and nonnegative, so rhs + tol * max >= rhs
-    # and only pairs with lhs > rhs can be bad.
-    idx = np.arange(size)
-    for g in range(size):
-        lhs = t[idx[g:] ^ g]
-        rhs = t[g] + t[g:]
+    # The values are now finite and nonnegative, so with tol >= 0 only pairs
+    # with lhs > rhs can be bad, and lhs <= T bounds rhs below T.  bad(g, h)
+    # is symmetric (IEEE addition commutes), so each row a scans the sorted
+    # positions [a, end).  Once end <= a, row a's own sum st[a] + st[a]
+    # reaches T, and so does every pair of the rows after it.
+    order = np.argsort(t)
+    st = t[order]
+    top = st[-1]
+    first = size * size  # smallest min(g, h) * size + max(g, h) over bad pairs
+    for a in range(size):
+        end = _window_end(st, st[a], top)
+        if end <= a:
+            break
+        g = int(order[a])
+        hs = order[a:end]
+        lhs = t[hs ^ g]
+        rhs = st[a] + st[a:end]
         over = np.flatnonzero(lhs > rhs)
         if over.size == 0:
             continue
-        bad = over[exceeds(lhs[over], rhs[over], tol)]
+        bad = hs[over[exceeds(lhs[over], rhs[over], tol)]]
         if bad.size:
-            h = g + int(bad[0])
-            return AxiomReport(
-                False,
-                pairs,
-                AxiomViolation(
-                    "subadditivity", support(g), support(h), float(t[g ^ h]), float(t[g] + t[h])
-                ),
-            )
-    return AxiomReport(True, pairs, None)
+            first = min(first, int((np.minimum(bad, g) * size + np.maximum(bad, g)).min()))
+    if first == size * size:
+        return AxiomReport(True, pairs, None)
+    g, h = divmod(first, size)
+    return AxiomReport(
+        False,
+        pairs,
+        AxiomViolation(
+            "subadditivity", support(g), support(h), float(t[g ^ h]), float(t[g] + t[h])
+        ),
+    )
 
 
 def parse_norm_spec(data: Mapping) -> WeightSpec | MetricSpec | BaseCostTable:
@@ -478,12 +524,26 @@ def parse_norm_spec(data: Mapping) -> WeightSpec | MetricSpec | BaseCostTable:
         raise ValueError("norm spec must be a JSON object")
     kind = data.get("kind")
     if kind == "weighted":
-        return WeightSpec(tuple(data["weights"]))
+        return WeightSpec(_numbers(data["weights"], "weight"))
     if kind == "graev":
-        return MetricSpec(tuple(tuple(row) for row in data["dist"]))
+        return MetricSpec(tuple(_numbers(row, "distance") for row in data["dist"]))
     if kind == "closure":
-        return BaseCostTable.from_mapping(data["base"])
+        base = data["base"]
+        if not isinstance(base, Mapping):
+            raise ValueError("closure base must be a JSON object")
+        _numbers(base.values(), "cost")
+        return BaseCostTable.from_mapping(base)
     raise ValueError(f"unknown norm kind {kind!r}")
+
+
+def _numbers(values, what: str) -> tuple:
+    # float() would read true as 1.0 and "2.5" as 2.5; a spec holds JSON
+    # numbers only, as algebra._index holds indices to JSON integers.
+    values = tuple(values)
+    for x in values:
+        if isinstance(x, (bool, str)):
+            raise TypeError(f"{what} must be a number, got {x!r}")
+    return values
 
 
 def spec_to_json(spec: WeightSpec | MetricSpec | BaseCostTable) -> dict:

@@ -234,6 +234,29 @@ def test_non_integer_indices_in_json_are_input_errors(tmp_path, norm_a_file, bad
     assert "index must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [True, "2.5"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        lambda bad: {"kind": "weighted", "weights": [1.0, bad]},
+        lambda bad: {"kind": "graev", "dist": [[0, 1, 1], [1, 0, bad], [1, bad, 0]]},
+        lambda bad: {"kind": "closure", "base": {"1": 1.0, "2": 3.0, "1,2": bad}},
+    ],
+    ids=["weighted", "graev", "closure"],
+)
+def test_non_numeric_norm_spec_values_are_input_errors(tmp_path, spec, bad, capsys):
+    # float() would read true as 1.0 and "2.5" as 2.5.
+    norm = write_json(tmp_path / "norm.json", spec(bad))
+    assert main(["reduce", "--norm", norm]) == 2
+    assert "must be a number" in capsys.readouterr().err
+
+
+def test_closure_base_must_be_an_object(tmp_path, capsys):
+    norm = write_json(tmp_path / "norm.json", {"kind": "closure", "base": [1.0, 3.0, 2.0]})
+    assert main(["reduce", "--norm", norm]) == 2
+    assert "closure base must be a JSON object" in capsys.readouterr().err
+
+
 def test_reduce_prune_refuses_to_skip_the_axiom_gate(tmp_path, norm_a_file, capsys):
     args = ["reduce", "--norm", norm_a_file, "--prune", "--skip-axioms"]
     assert main(args + ["--out", str(tmp_path / "b.json")]) == 2

@@ -70,6 +70,40 @@ def relaxation_fixpoint(costs, rank):
     return vals
 
 
+def label_setting_closure(costs):
+    """Reference: the closure pass without the value window.  Labels are
+    finalized in the same order, and each relaxes every part, so the float
+    sums are the same and the table must match bit for bit."""
+    step = np.asarray(costs, dtype=float).copy()
+    step[0] = np.inf
+    dist = step.copy()
+    dist[0] = 0.0
+    done = np.zeros(step.size)
+    idx = np.arange(step.size)
+    for _ in range(step.size):
+        u = int((dist + done).argmin())
+        done[u] = np.inf
+        np.minimum(dist, dist[u] + step[idx ^ u], out=dist)
+    return dist
+
+
+def cost_family(rng, family, count):
+    """Positive costs that stress the value window: ties, exact binary
+    fractions and values far below 1."""
+    if family == "ties":
+        return rng.integers(1, 4, count).astype(float)
+    if family == "ones":
+        return np.ones(count)
+    if family == "64ths":
+        return rng.integers(1, 257, count) / 64
+    if family == "quarters":
+        return 0.25 ** rng.integers(0, 8, count)
+    return np.exp(rng.uniform(np.log(1e-310), np.log(1e-290), count))  # tiny
+
+
+COST_FAMILIES = ["ties", "ones", "64ths", "quarters", "tiny"]
+
+
 def test_weighted_examples():
     assert weighted_norm(WeightSpec((1.0, 1.0, 1.0)), from_support([1, 3])) == 2.0
     assert weighted_norm(WeightSpec((1.0, 1.0)), 0) == 0.0
@@ -217,6 +251,33 @@ CLOSURE_TABLE_SHA256 = {
 def test_closure_tables_are_pinned(seed, rank):
     table = closure_norm(random_base_table(rng_from(seed, rank), rank)).table()
     assert hashlib.sha256(table.tobytes()).hexdigest() == CLOSURE_TABLE_SHA256[seed, rank]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from(COST_FAMILIES),
+    st.integers(0, 10**6),
+)
+def test_closure_matches_the_unwindowed_pass(rank, family, seed):
+    costs = np.concatenate([[0.0], cost_family(rng_from(seed), family, (1 << rank) - 1)])
+    table = closure_norm(BaseCostTable(rank, tuple(costs.tolist()))).table()
+    assert table.tobytes() == label_setting_closure(costs).tobytes()
+
+
+def test_value_window_skips_most_of_both_kernels(monkeypatch):
+    # Each closure label relaxed and each axiom row scanned asks for one
+    # window end; on a rank-10 closure table both stop early.
+    from boolnorm import norms
+
+    calls = []
+    window_end = norms._window_end
+    monkeypatch.setattr(norms, "_window_end", lambda *a: calls.append(a) or window_end(*a))
+    oracle = closure_norm(random_base_table(rng_from(0, 10), 10))
+    assert 0 < len(calls) < 1024 // 4
+    calls.clear()
+    assert check_norm_axioms(oracle).passed
+    assert 0 < len(calls) < 1024 // 4
 
 
 def test_closure_rank_bound():
@@ -395,6 +456,89 @@ def test_subadditivity_upper_triangle_matches_full_scan(data):
         v = report.violation
         assert v.axiom == "subadditivity"
         assert (v.g, v.h, v.lhs, v.rhs) == expected
+
+
+def axiom_outcome(report):
+    """(passed, (g, h, lhs, rhs) or None, pairs_checked) of a report."""
+    v = report.violation
+    if v is not None:
+        assert v.axiom == "subadditivity"
+    found = None if v is None else (v.g, v.h, v.lhs, v.rhs)
+    return report.passed, found, report.pairs_checked
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8),
+    st.sampled_from(["closure", "graev", "weighted", "raw", "raw-ties"]),
+    st.sampled_from(COST_FAMILIES),
+    st.sampled_from([0.0, 1e-9, 0.25]),
+    st.integers(0, 10**6),
+)
+def test_axiom_scan_matches_the_full_scan(rank, kind, family, tol, seed):
+    rng = rng_from(seed)
+    if kind in ("graev", "weighted"):
+        table = random_norm(rng, rank, kind)[1].table()
+    elif kind == "raw":  # not subadditive, fails at many pairs
+        table = np.concatenate([[0.0], rng.uniform(0.1, 3.0, (1 << rank) - 1)])
+    else:
+        table = np.concatenate([[0.0], cost_family(rng, family, (1 << rank) - 1)])
+        if kind == "closure":
+            table = closure_norm(BaseCostTable(rank, tuple(table.tolist()))).table()
+    expected = full_scan_axioms(table, tol)
+    report = check_norm_axioms(NormOracle(rank, table=table), tol=tol)
+    assert axiom_outcome(report) == (expected is None, expected, 4**rank)
+
+
+def test_axiom_scan_reports_the_first_violation_in_mask_order():
+    # Two violations: {1},{2} (4 > 2 + 1) comes first in mask order, while
+    # {2},{3} (3 > 1 + 1) holds the two smallest values, so a walk in
+    # ascending value order meets it first.
+    table = np.array([0.0, 2.0, 1.0, 4.0, 1.0, 3.0, 3.0, 4.0])
+    assert table[2 ^ 4] > table[2] + table[4]
+    expected = ((1,), (2,), 4.0, 3.0)
+    assert full_scan_axioms(table) == expected
+    report = check_norm_axioms(NormOracle(3, table=table))
+    assert axiom_outcome(report) == (False, expected, 4**3)
+
+
+def test_value_window_keeps_a_part_that_rounds_below_the_top():
+    # x = top - base rounded; base + x rounds one ulp below top, so a
+    # window cut at the first value >= top - base would skip x.
+    from boolnorm.norms import _window_end
+
+    base, top = 1.0769262873648544, 6.208606402247557
+    x = top - base
+    assert base + x < top
+    assert _window_end(np.array([base, x, top, np.inf]), base, top) == 2
+    costs = np.array([0.0, base, x, top])
+    closed = closure_norm(BaseCostTable(2, tuple(costs.tolist()))).table()
+    assert closed.tobytes() == label_setting_closure(costs).tobytes()
+    assert closed[3] == base + x
+    report = check_norm_axioms(NormOracle(2, table=costs), tol=0.0)
+    assert axiom_outcome(report) == (False, ((1,), (2,), top, base + x), 16)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(0, 10**6), st.integers(min_value=0, max_value=12))
+def test_value_window_end_covers_every_sum_below_the_top(seed, count):
+    # Each array holds top - base rounded: in about one case in 200 its
+    # rounded sum with base still falls below top.
+    from boolnorm.norms import _window_end
+
+    rng = rng_from(seed)
+    for base, top in np.sort(rng.uniform(0.0, 8.0, (100, 2)), axis=1):
+        ascending = np.sort(np.append(rng.uniform(0.0, 8.0, count), top - base))
+        j = _window_end(ascending, base, top)
+        assert np.all(base + ascending[j:] >= top)
+
+
+@pytest.mark.parametrize("tol", [-0.1, -1e-9, float("nan")])
+def test_axiom_checker_refuses_a_negative_tolerance(tol):
+    # With tol < 0 an equal pair exceeds: 2.0 > 2.0 - 0.1 * 2.0.
+    oracle = NormOracle(2, table=np.array([0.0, 1.0, 1.0, 2.0]))
+    with pytest.raises(ValueError, match="tol must be a nonnegative real"):
+        check_norm_axioms(oracle, tol=tol)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
