@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .errors import NotInSpanError, RankTooLargeError, StratumRangeError
+from .errors import IndexOutOfRankError, NotInSpanError, RankTooLargeError, StratumRangeError
 
 Element = int
 
@@ -33,13 +33,18 @@ def _index(i) -> int:
         raise TypeError(f"index must be an integer, got {i!r}") from None
 
 
-def from_support(indices: Iterable[int]) -> Element:
-    """Element with the given generator indices (each >= 1, no repeats)."""
+def from_support(indices: Iterable[int], rank: int | None = None) -> Element:
+    """Element with the given generator indices (each >= 1, no repeats,
+    and at most rank when a rank is given)."""
     mask = 0
     for i in indices:
         i = _index(i)
         if i < 1:
             raise ValueError(f"generator index must be >= 1, got {i}")
+        if rank is not None and i > rank:
+            # Refused before 1 << (i - 1) is built: a huge index would
+            # exhaust memory first.
+            raise IndexOutOfRankError(f"generator index {i} exceeds rank {rank}")
         bit = 1 << (i - 1)
         if mask & bit:
             raise ValueError(f"duplicate generator index {i}")

@@ -90,9 +90,7 @@ def _load_basis_file(path: str, oracle_rank: int):
     data = _load_json(path)
     if not isinstance(data, list):
         raise ValueError("basis file must be a JSON array of support arrays")
-    rows = tuple(from_support(entry) for entry in data)
-    if any(row.bit_length() > oracle_rank for row in rows):
-        raise ValueError(f"basis rows exceed the norm's rank {oracle_rank}")
+    rows = tuple(from_support(entry, oracle_rank) for entry in data)
     try:
         return TriangularBasis(rows)
     except ValueError:
@@ -155,7 +153,7 @@ def cmd_rebase(args) -> int:
     data = _load_json(args.seq)
     if not isinstance(data, list):
         raise ValueError("sequence file must be a JSON array of coordinate arrays")
-    raw = [from_support(entry) for entry in data]
+    raw = [from_support(entry, oracle.rank) for entry in data]
     seq = normalize_sequence(raw, basis, oracle)
     built = build_second_basis(basis, seq)
     res = verify_independence(built)

@@ -43,7 +43,7 @@ def _log_uniform(rng: np.random.Generator, size) -> np.ndarray:
 
 
 def random_weight_spec(rng: np.random.Generator, rank: int) -> WeightSpec:
-    return WeightSpec(tuple(float(w) for w in _log_uniform(rng, rank)))
+    return WeightSpec(_log_uniform(rng, rank))
 
 
 def random_metric_spec(rng: np.random.Generator, rank: int) -> MetricSpec:
@@ -56,13 +56,13 @@ def random_metric_spec(rng: np.random.Generator, rank: int) -> MetricSpec:
     for k in range(m):
         a = np.minimum(a, np.add.outer(a[:, k], a[k, :]))
     np.fill_diagonal(a, 0.0)
-    return MetricSpec(tuple(tuple(float(x) for x in row) for row in a))
+    return MetricSpec(a)
 
 
 def random_base_table(rng: np.random.Generator, rank: int) -> BaseCostTable:
     costs = _log_uniform(rng, 1 << rank)
     costs[0] = 0.0
-    return BaseCostTable(rank, tuple(float(c) for c in costs))
+    return BaseCostTable(rank, costs)
 
 
 def random_norm(

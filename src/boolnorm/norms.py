@@ -95,55 +95,61 @@ class MetricSpec:
 class BaseCostTable:
     """Positive cost for every nonzero element of a rank-n truncation.
 
-    costs is indexed by element mask; costs[0] is fixed to 0.0 and the
-    remaining 2**rank - 1 entries must be positive finite reals.
+    costs is a read-only float64 array indexed by element mask: costs[0] is
+    0.0 and the other 2**rank - 1 entries must be positive finite reals.
     """
 
     rank: int
-    costs: tuple[float, ...]
+    costs: np.ndarray
 
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
-        costs = tuple(float(c) for c in self.costs)
+        costs = np.array(self.costs, dtype=float)
         object.__setattr__(self, "costs", costs)
-        if len(costs) != 1 << self.rank:
+        if costs.shape != (1 << self.rank,):
             raise ValueError(
-                f"cost table needs {1 << self.rank} entries (index 0 unused), got {len(costs)}"
+                f"cost table needs {1 << self.rank} entries (index 0 unused), got {costs.size}"
             )
         if costs[0] != 0.0:
             raise ValueError("costs[0] must be 0.0")
-        for mask, c in enumerate(costs[1:], 1):
-            if not (c > 0.0 and np.isfinite(c)):
-                raise ValueError(f"cost of {support(mask)} must be positive finite, got {c}")
+        ok = (costs > 0.0) & (costs < np.inf)  # false on NaN
+        if not ok[1:].all():
+            mask = int(ok[1:].argmin()) + 1
+            raise ValueError(f"cost of {support(mask)} must be positive finite, got {costs[mask]}")
+        costs.flags.writeable = False
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, BaseCostTable) and np.array_equal(self.costs, other.costs)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, float]) -> "BaseCostTable":
         """Build from {"comma-separated support": cost} covering every
         nonzero element; rank is inferred from the largest index."""
+        # A rank-r table has 2**r - 1 entries, so no valid key names an
+        # index above this bound.
+        bound = len(mapping).bit_length()
         entries: dict[int, float] = {}
-        rank = 0
         for key, cost in mapping.items():
             parts = [p for p in str(key).split(",") if p.strip()]
-            mask = from_support(int(p) for p in parts)
+            mask = from_support(map(int, parts), bound)
             if mask == 0:
                 raise ValueError("cost table keys must name nonzero elements")
             if mask in entries:
                 raise ValueError(f"duplicate cost entry for {support(mask)}")
-            entries[mask] = float(cost)
-            rank = max(rank, mask.bit_length())
+            entries[mask] = cost
+        rank = max(entries, default=0).bit_length()
         if len(entries) != (1 << rank) - 1:
             raise ValueError(
                 f"cost table for rank {rank} needs {(1 << rank) - 1} entries, got {len(entries)}"
             )
-        costs = [0.0] * (1 << rank)
-        for mask, cost in entries.items():
-            costs[mask] = cost
-        return cls(rank, tuple(costs))
+        costs = np.zeros(1 << rank)
+        costs[np.fromiter(entries, int)] = np.fromiter(entries.values(), float)
+        return cls(rank, costs)
 
     def to_mapping(self) -> dict[str, float]:
         return {
-            ",".join(map(str, support(mask))): self.costs[mask]
+            ",".join(map(str, support(mask))): self.costs.item(mask)
             for mask in range(1, 1 << self.rank)
         }
 
@@ -361,7 +367,7 @@ def closure_norm(base: BaseCostTable) -> NormOracle:
             f"closure needs 2**{n} labels, bound is 2**{EXHAUSTIVE_RANK_BOUND}"
         )
     size = 1 << n
-    step = np.asarray(base.costs, dtype=float).copy()
+    step = base.costs.copy()
     step[0] = np.inf  # the zero element is not a usable part
     dist = step.copy()
     dist[0] = 0.0
@@ -400,7 +406,7 @@ def _window_end(ascending: np.ndarray, base: float, top: float) -> int:
 
 def table_norm(base: BaseCostTable) -> NormOracle:
     """Cost table used directly as a candidate norm, no closure applied."""
-    return NormOracle(base.rank, table=np.asarray(base.costs, dtype=float), kind="table")
+    return NormOracle(base.rank, table=base.costs, kind="table")
 
 
 def coordinate_norm(basis: Basis, oracle: NormOracle) -> NormOracle:
@@ -543,6 +549,12 @@ def _numbers(values, what: str) -> tuple:
     for x in values:
         if isinstance(x, (bool, str)):
             raise TypeError(f"{what} must be a number, got {x!r}")
+        try:
+            float(x)
+        except OverflowError:  # a JSON integer beyond the float range
+            raise ValueError(
+                f"{what} must fit in a float, got an integer of {len(str(abs(x)))} digits"
+            ) from None
     return values
 
 

@@ -251,6 +251,43 @@ def test_non_numeric_norm_spec_values_are_input_errors(tmp_path, spec, bad, caps
     assert "must be a number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        lambda big: {"kind": "weighted", "weights": [1.0, big]},
+        lambda big: {"kind": "graev", "dist": [[0, 1, 1], [1, 0, big], [1, big, 0]]},
+        lambda big: {"kind": "closure", "base": {"1": 1.0, "2": 3.0, "1,2": big}},
+    ],
+    ids=["weighted", "graev", "closure"],
+)
+def test_spec_numbers_beyond_the_float_range_are_input_errors(tmp_path, spec, capsys):
+    # A 401-digit JSON integer parses as a Python int that float() refuses.
+    norm = write_json(tmp_path / "norm.json", spec(10**400))
+    assert main(["reduce", "--norm", norm]) == 2
+    assert "must fit in a float" in capsys.readouterr().err
+
+
+def test_huge_basis_index_is_refused_before_its_mask_is_built(tmp_path, norm_a_file, capsys):
+    basis = write_json(tmp_path / "basis.json", [[1], [1, 2], [100000000000]])
+    assert main(["verify", "--norm", norm_a_file, "--basis", basis]) == 2
+    assert "generator index 100000000000 exceeds rank 2" in capsys.readouterr().err
+
+
+def test_huge_sequence_index_is_refused_before_its_mask_is_built(tmp_path, capsys):
+    norm = write_json(tmp_path / "w4.json", {"kind": "weighted", "weights": [1.0] * 4})
+    seq = write_json(tmp_path / "seq.json", [[2], [100000000000]])
+    assert main(["rebase", "--norm", norm, "--seq", seq]) == 2
+    assert "generator index 100000000000 exceeds rank 4" in capsys.readouterr().err
+
+
+def test_huge_closure_key_index_is_refused_before_its_mask_is_built(tmp_path, capsys):
+    # Three entries fix the rank at 2: a rank-r table has 2**r - 1 entries.
+    base = {"1": 1.0, "2": 3.0, "1000000000": 2.0}
+    norm = write_json(tmp_path / "norm.json", {"kind": "closure", "base": base})
+    assert main(["reduce", "--norm", norm]) == 2
+    assert "generator index 1000000000 exceeds rank 2" in capsys.readouterr().err
+
+
 def test_closure_base_must_be_an_object(tmp_path, capsys):
     norm = write_json(tmp_path / "norm.json", {"kind": "closure", "base": [1.0, 3.0, 2.0]})
     assert main(["reduce", "--norm", norm]) == 2

@@ -298,6 +298,28 @@ def test_base_cost_table_validation():
         BaseCostTable(2, (0.0, 1.0, -1.0, 3.0))  # nonpositive entry
     with pytest.raises(ValueError):
         BaseCostTable(2, (1.0, 1.0, 1.0, 3.0))  # nonzero at zero
+    # The first bad entry in mask order is reported, as the per-entry loop did.
+    nan, inf = float("nan"), float("inf")
+    with pytest.raises(ValueError, match=r"^cost of \(2,\) must be positive finite, got -1\.0$"):
+        BaseCostTable(3, (0, 1, -1, nan, 2, inf, 0, 1))
+    with pytest.raises(ValueError, match=r"^cost table needs 8 entries \(index 0 unused\), got 7$"):
+        BaseCostTable(3, (0.0,) + (1.0,) * 6)
+    with pytest.raises(ValueError, match=r"^costs\[0\] must be 0\.0$"):
+        BaseCostTable(3, (0.5,) + (1.0,) * 7)
+
+
+def test_base_cost_table_holds_a_read_only_copy():
+    costs = np.array([0.0, 1.0, 3.0, 2.0])
+    base = BaseCostTable(2, costs)
+    costs[1] = 9.0
+    assert base.costs.dtype == np.float64
+    assert base.costs.tolist() == [0.0, 1.0, 3.0, 2.0]
+    with pytest.raises(ValueError):
+        base.costs[1] = 5.0
+    assert np.shares_memory(table_norm(base).table(), base.costs)
+    assert BaseCostTable(2, (0, 1, 3, 2)) == base  # tuples are still accepted
+    assert parse_norm_spec(json.loads(json.dumps(spec_to_json(base)))) == base
+    assert BaseCostTable(2, (0.0, 1.0, 3.0, 2.5)) != base
 
 
 def test_axiom_checker_flags_raw_table():
