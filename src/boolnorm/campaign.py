@@ -15,7 +15,8 @@ from typing import IO
 import numpy as np
 
 from .instances import NORM_FAMILIES, random_norm, random_sequence, rng_from
-from .norms import NormOracle
+from .errors import RankTooLargeError
+from .norms import EXHAUSTIVE_RANK_BOUND, NormOracle
 from .rebasing import build_second_basis, check_witnesses, verify_independence
 from .reduction import reduce_basis
 from .verification import LEMMA_CHECKS, min_separation, worst_geometric_ratio
@@ -49,6 +50,11 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
+        if self.rank > EXHAUSTIVE_RANK_BOUND:
+            # every trial runs the exhaustive checkers and the doubling ratio
+            raise RankTooLargeError(
+                f"campaign rank {self.rank} exceeds the exhaustive bound {EXHAUSTIVE_RANK_BOUND}"
+            )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.threads < 1:

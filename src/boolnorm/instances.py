@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebra import Basis
+from .algebra import Basis, require_memory
 from .errors import UnusableSequenceError
 from .norms import (
     BaseCostTable,
@@ -60,6 +60,7 @@ def random_metric_spec(rng: np.random.Generator, rank: int) -> MetricSpec:
 
 
 def random_base_table(rng: np.random.Generator, rank: int) -> BaseCostTable:
+    require_memory(8 << rank, f"a rank-{rank} cost table")
     costs = _log_uniform(rng, 1 << rank)
     costs[0] = 0.0
     return BaseCostTable(rank, costs)

@@ -43,16 +43,6 @@ class LemmaReport:
         }
 
 
-def merge_reports(lemma: str, reports: Iterable[LemmaReport]) -> LemmaReport:
-    """Combine per-slice reports into one (checked counts add up)."""
-    checked = 0
-    violations: list[Violation] = []
-    for rep in reports:
-        checked += rep.checked
-        violations.extend(rep.violations)
-    return LemmaReport(lemma, not violations, checked, tuple(violations))
-
-
 def _coordinate_view(
     basis: Basis, oracle: NormOracle
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -147,9 +137,12 @@ def separation_epsilon(coord_set: Iterable[int], basis: Basis, oracle: NormOracl
     if not letters:
         raise ValueError("coordinate set must be nonempty")
     rows = basis.rows
-    for i in letters:
+    for t, i in enumerate(letters):
         if not 1 <= i <= len(rows):
             raise ValueError(f"coordinate {i} out of range 1..{len(rows)}")
+        if i in letters[:t]:
+            # n counts the letters, so a repeat would shrink the radius
+            raise ValueError(f"duplicate coordinate {i}")
     # np.min propagates NaN wherever it sits; Python's min would not.
     cheapest = float(np.min([oracle(rows[i - 1]) for i in letters]))
     return cheapest / float(4 ** len(letters))
@@ -163,11 +156,12 @@ def min_separation(basis: Basis, oracle: NormOracle) -> float:
 
 
 def _stratum_report(
-    lemma: str, basis: Basis, oracle: NormOracle, n: int, tol: float
+    lemma: str, basis: Basis, oracle: NormOracle, n: int | None, tol: float
 ) -> LemmaReport:
-    """Separation of every word of reduced length n from its partners: the
-    other words of its stratum for L2, every strictly shorter word for L3.
-    Each pair must stay at least the word's separation radius apart.
+    """Separation of every word of reduced length n (of every length when n
+    is None, strata in increasing order) from its partners: the other words
+    of its stratum for L2, every strictly shorter word for L3.  Each pair
+    must stay at least the word's separation radius apart.
 
     Every distance read is vals[c] for some nonzero c, so at least
     m0 = min(vals[1:]).  On a finite table with tol >= 0 a violation needs
@@ -175,49 +169,57 @@ def _stratum_report(
     at most m0 is cleared without a pair scan; `checked` still counts every
     pair covered.  A NaN or inf value, or tol < 0, scans every word."""
     vals, _, pop, low = _coordinate_view(basis, oracle)
-    if n > len(basis.rows):
-        raise StratumRangeError(f"stratum length {n} exceeds rank {len(basis.rows)}")
-    same = lemma == "L2"
-    stratum = np.flatnonzero(pop == n)
-    partners = stratum if same else np.flatnonzero(pop < n)
-    checked = stratum.size * (partners.size - same)
-    if checked == 0:
-        return LemmaReport(lemma, True, checked)
-    eps = low[stratum] / float(4**n)
-    scan = range(stratum.size)
+    rank = len(basis.rows)
+    strata: Iterable[int] = range(rank + 1)
+    if n is not None:
+        n = _index(n)
+        if n < 0:
+            raise ValueError("stratum length must be >= 0")
+        if n > rank:
+            raise StratumRangeError(f"stratum length {n} exceeds rank {rank}")
+        strata = (n,)
+    m0 = None
     if tol >= 0 and np.isfinite(vals[1:]).all():
-        scan = np.flatnonzero(eps > vals[1:].min()).tolist()
+        m0 = vals[1:].min(initial=np.inf)  # rank 0 has no pair to clear
+    same = lemma == "L2"
+    checked = 0
     violations: list[Violation] = []
-    for i in scan:
-        w = int(stratum[i])
-        d = vals[partners ^ w]
-        bad = exceeds(eps[i], d, tol)
-        if same:
-            bad[i] = False  # w itself
-        for j in np.flatnonzero(bad).tolist():
-            violations.append(
-                Violation(
-                    {"w": list(support(w)), "w_prime": list(support(int(partners[j])))},
-                    float(d[j]),
-                    float(eps[i]),
-                )
-            )
+    for k in strata:
+        stratum = np.flatnonzero(pop == k)
+        partners = stratum if same else np.flatnonzero(pop < k)
+        pairs = stratum.size * (partners.size - same)
+        if pairs == 0:
+            continue
+        checked += pairs
+        eps = low[stratum] / float(4**k)
+        scan = range(stratum.size) if m0 is None else np.flatnonzero(eps > m0).tolist()
+        for i in scan:
+            w = int(stratum[i])
+            d = vals[partners ^ w]
+            bad = exceeds(eps[i], d, tol)
+            if same:
+                bad[i] = False  # w itself
+            for j in np.flatnonzero(bad).tolist():
+                pair = {"w": list(support(w)), "w_prime": list(support(int(partners[j])))}
+                violations.append(Violation(pair, float(d[j]), float(eps[i])))
     return LemmaReport(lemma, not violations, checked, tuple(violations))
 
 
 def check_discreteness(
-    basis: Basis, oracle: NormOracle, n: int, *, tol: float = RELATIVE_TOLERANCE
+    basis: Basis, oracle: NormOracle, n: int | None = None, *, tol: float = RELATIVE_TOLERANCE
 ) -> LemmaReport:
-    """Within the reduced-length-n stratum, every two distinct words stay at
-    least the first word's separation radius apart."""
+    """Within each reduced-length stratum (only stratum n when n is given),
+    every two distinct words stay at least the first word's separation
+    radius apart."""
     return _stratum_report("L2", basis, oracle, n, tol)
 
 
 def check_closedness(
-    basis: Basis, oracle: NormOracle, n: int, *, tol: float = RELATIVE_TOLERANCE
+    basis: Basis, oracle: NormOracle, n: int | None = None, *, tol: float = RELATIVE_TOLERANCE
 ) -> LemmaReport:
-    """Words of reduced length n keep their separation radius away from
-    every strictly shorter word (including the zero word)."""
+    """Words of reduced length n (of every length when n is omitted) keep
+    their separation radius away from every strictly shorter word
+    (including the zero word)."""
     return _stratum_report("L3", basis, oracle, n, tol)
 
 
@@ -255,11 +257,7 @@ def check_null_tail(
 LEMMA_CHECKS: dict[str, Callable[[Basis, NormOracle], LemmaReport]] = {
     "L0iii": lambda basis, oracle: check_monotone_tail(basis, oracle),
     "L1": lambda basis, oracle: check_geometric_bound(basis, oracle),
-    "L2": lambda basis, oracle: merge_reports(
-        "L2", [check_discreteness(basis, oracle, n) for n in range(len(basis.rows) + 1)]
-    ),
-    "L3": lambda basis, oracle: merge_reports(
-        "L3", [check_closedness(basis, oracle, n) for n in range(len(basis.rows) + 1)]
-    ),
+    "L2": lambda basis, oracle: check_discreteness(basis, oracle),
+    "L3": lambda basis, oracle: check_closedness(basis, oracle),
     "L4": lambda basis, oracle: check_null_tail(basis, oracle, range(1, len(basis.rows) + 1)),
 }

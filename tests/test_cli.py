@@ -360,3 +360,15 @@ def test_campaign_summary_minimum_propagates_nan(monkeypatch):
         rows, summary = campaign.run_campaign(cfg)
         assert [r["min_epsilon"] for r in rows] == [repr(x) for x in radii]
         assert repr(summary["min_epsilon"]) == "nan"
+
+
+@pytest.mark.parametrize("rank, family", [("40", "closure"), ("15", "weighted")])
+def test_campaign_refuses_ranks_above_the_exhaustive_bound(tmp_path, capsys, rank, family):
+    # every trial runs the exhaustive checkers, so the rank is refused
+    # before any table is drawn
+    out = tmp_path / "t.csv"
+    args = ["campaign", "--rank", rank, "--trials", "1", "--family", family, "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"error[rank-too-large]: campaign rank {rank} exceeds the exhaustive bound 14" in err
+    assert not out.exists()

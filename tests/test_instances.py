@@ -52,3 +52,11 @@ def test_raw_sequences_have_increasing_tops():
         assert tops[0] >= 2
     with pytest.raises(ValueError):
         random_raw_sequence(rng_from(10, 0), 2)
+
+
+def test_random_base_table_refuses_a_table_memory_cannot_hold():
+    from boolnorm import RankTooLargeError
+
+    # 2**40 float64 costs are 8 TiB: refused before numpy is asked for them
+    with pytest.raises(RankTooLargeError, match="a rank-40 cost table needs"):
+        random_base_table(rng_from(0, 0), 40)

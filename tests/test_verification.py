@@ -14,7 +14,6 @@ from boolnorm import (
     check_geometric_bound,
     check_monotone_tail,
     check_null_tail,
-    merge_reports,
     min_separation,
     reduce_basis,
     separation_epsilon,
@@ -175,15 +174,6 @@ def test_report_json_shape(bad_oracle, bad_basis):
     assert data["pass"] is False
     assert data["checked"] == 3
     assert data["violations"][0]["lhs"] == 5.0
-
-
-def test_merge_reports(norm_a, norm_a_basis):
-    merged = merge_reports(
-        "L2", [check_discreteness(norm_a_basis, norm_a, n) for n in range(3)]
-    )
-    assert merged.lemma == "L2"
-    assert merged.passed
-    assert merged.checked == 0 + 2 + 0
 
 
 def scalar_discreteness(basis, oracle, n, tol=1e-9):
@@ -509,3 +499,93 @@ def test_checkers_refuse_bases_above_the_exhaustive_bound():
     ):
         with pytest.raises(RankTooLargeError, match=r"checker needs 2\*\*15 coordinate sets"):
             check(over, oracle)
+
+
+
+def per_stratum_json(checker, basis, oracle, tol):
+    """The report of every stratum combined from one call per stratum:
+    violations in stratum order, checked summed."""
+    reports = [checker(basis, oracle, n, tol=tol) for n in range(len(basis.rows) + 1)]
+    violations = [v.to_json() for rep in reports for v in rep.violations]
+    return {
+        "lemma": reports[0].lemma,
+        "pass": not violations,
+        "checked": sum(rep.checked for rep in reports),
+        "violations": violations,
+    }
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # 0 * inf
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_every_stratum_in_one_call_equals_the_per_stratum_reports(data):
+    value = data.draw(
+        st.sampled_from(
+            [
+                # finite, tie-heavy (radii land on the values), non-finite
+                st.integers(min_value=-4, max_value=192).map(lambda k: k / 64),
+                st.integers(min_value=0, max_value=4).map(lambda k: 4.0**-k),
+                st.sampled_from([0.5, 1.0, 2.0, float("nan"), float("inf")]),
+            ]
+        )
+    )
+    basis, oracle = draw_table_instance(data, value)
+    tol = data.draw(st.sampled_from([0.0, 1e-9, -1e-9]))
+    for checker in (check_discreteness, check_closedness):
+        # NaN != NaN, so compare the JSON text
+        got = json.dumps(checker(basis, oracle, tol=tol).to_json())
+        assert got == json.dumps(per_stratum_json(checker, basis, oracle, tol))
+
+
+def test_registry_builds_one_coordinate_view_per_stratum_check(monkeypatch):
+    oracle, basis = next(conforming_instances(10, 1, 908))
+    view, built = verification._coordinate_view, []
+
+    def counting_view(basis, oracle):
+        built.append(len(basis.rows))
+        return view(basis, oracle)
+
+    monkeypatch.setattr(verification, "_coordinate_view", counting_view)
+    for lemma in ("L2", "L3"):
+        built.clear()
+        report = verification.LEMMA_CHECKS[lemma](basis, oracle)
+        assert report.checked > 0
+        assert built == [10], lemma
+
+
+def test_stratum_checkers_pass_a_rank_zero_basis(norm_a):
+    from boolnorm import TriangularBasis
+
+    empty = TriangularBasis(())
+    for checker in (check_discreteness, check_closedness):
+        for tol in (0.0, -1e-9):
+            for report in (checker(empty, norm_a, tol=tol), checker(empty, norm_a, 0, tol=tol)):
+                assert report.passed and report.checked == 0 and not report.violations
+
+
+@pytest.mark.parametrize("checker", [check_discreteness, check_closedness])
+@pytest.mark.parametrize(
+    "n, error, message",
+    [
+        (-1, ValueError, "stratum length must be >= 0"),
+        (1.5, TypeError, "index must be an integer"),
+        (True, TypeError, "index must be an integer"),
+        (2.0, TypeError, "index must be an integer"),
+        ("1", TypeError, "index must be an integer"),
+    ],
+)
+def test_stratum_checkers_refuse_lengths_they_cannot_evaluate(
+    norm_a, norm_a_basis, checker, n, error, message
+):
+    with pytest.raises(error, match=message):
+        checker(norm_a_basis, norm_a, n)
+    report = checker(norm_a_basis, norm_a, np.int64(1))
+    assert report.to_json() == checker(norm_a_basis, norm_a, 1).to_json()
+
+
+def test_separation_epsilon_refuses_a_repeated_coordinate():
+    oracle, basis = next(conforming_instances(4, 3, 0))
+    assert separation_epsilon((1,), basis, oracle) > 0
+    for coords in ((1, 1), (2, 3, 2), (np.int64(4), 4)):
+        with pytest.raises(ValueError, match=f"duplicate coordinate {int(coords[-1])}"):
+            separation_epsilon(coords, basis, oracle)
