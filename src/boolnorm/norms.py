@@ -28,7 +28,14 @@ def exceeds(lhs, rhs, tol: float = RELATIVE_TOLERANCE):
     A NaN or infinite value on either side always exceeds: a bound that
     cannot be evaluated is a violation, never a pass."""
     big = np.maximum(np.abs(lhs), np.abs(rhs))
-    return (lhs > rhs + tol * big) | ~np.isfinite(big)
+    finite = np.isfinite(big)
+    if finite.all():
+        return lhs > rhs + tol * big
+    # A non-finite big can make the slack 0 * inf or -inf + inf; those NaNs
+    # are masked by ~finite, so numpy need not report them.  errstate stays
+    # off the all-finite path: checkers make thousands of tiny calls.
+    with np.errstate(invalid="ignore"):
+        return (lhs > rhs + tol * big) | ~finite
 
 
 @dataclass(frozen=True)
@@ -129,10 +136,15 @@ class BaseCostTable:
         # A rank-r table has 2**r - 1 entries, so no valid key names an
         # index above this bound.
         bound = len(mapping).bit_length()
+        # Keys spelled the way to_mapping writes them are looked up; any
+        # other spelling is parsed, with the same result or error.
+        canonical = {key: mask for mask, key in enumerate(_support_keys(bound))}
         entries: dict[int, float] = {}
         for key, cost in mapping.items():
-            parts = [p for p in str(key).split(",") if p.strip()]
-            mask = from_support(map(int, parts), bound)
+            mask = canonical.get(key)
+            if mask is None:
+                parts = [p for p in str(key).split(",") if p.strip()]
+                mask = from_support(map(int, parts), bound)
             if mask == 0:
                 raise ValueError("cost table keys must name nonzero elements")
             if mask in entries:
@@ -148,10 +160,20 @@ class BaseCostTable:
         return cls(rank, costs)
 
     def to_mapping(self) -> dict[str, float]:
-        return {
-            ",".join(map(str, support(mask))): self.costs.item(mask)
-            for mask in range(1, 1 << self.rank)
-        }
+        return dict(zip(_support_keys(self.rank)[1:], self.costs.tolist()[1:]))
+
+
+def _support_keys(rank: int) -> list[str]:
+    """keys[mask]: the comma-joined ascending support of every mask below
+    2**rank, e.g. keys[5] == "1,3"."""
+    keys = [""]
+    for i in range(1, rank + 1):
+        # Masks with bit i - 1 set: the lower masks' supports, then i.
+        suffix = f",{i}"
+        upper = [key + suffix for key in keys]
+        upper[0] = str(i)
+        keys += upper
+    return keys
 
 
 def _require_in_rank(g: Element, rank: int) -> None:

@@ -146,8 +146,6 @@ def test_metric_spec_reports_the_first_failing_triple():
         MetricSpec(d)
 
 
-# -inf on the right makes the slack -inf + inf = NaN, which numpy reports.
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_exceeds_is_strict_up_to_relative_slack_and_refuses_non_finite():
     from boolnorm.norms import exceeds
 
@@ -392,6 +390,96 @@ def test_parse_norm_spec_errors():
         parse_norm_spec({"kind": "closure", "base": {"1": 1.0, "2": 1.0}})  # {1,2} missing
     with pytest.raises(ValueError):
         parse_norm_spec({"kind": "closure", "base": {"1": 1.0, "2": 1.0, "2,1": 1.0, "1,2": 2.0}})
+
+
+def reference_from_mapping(mapping):
+    """Reference: BaseCostTable.from_mapping with every key split and sent
+    through from_support, as before canonical keys were looked up."""
+    bound = len(mapping).bit_length()
+    entries = {}
+    for key, cost in mapping.items():
+        parts = [p for p in str(key).split(",") if p.strip()]
+        mask = from_support(map(int, parts), bound)
+        if mask == 0:
+            raise ValueError("cost table keys must name nonzero elements")
+        if mask in entries:
+            raise ValueError(f"duplicate cost entry for {support(mask)}")
+        entries[mask] = cost
+    rank = max(entries, default=0).bit_length()
+    if len(entries) != (1 << rank) - 1:
+        raise ValueError(
+            f"cost table for rank {rank} needs {(1 << rank) - 1} entries, got {len(entries)}"
+        )
+    costs = np.zeros(1 << rank)
+    costs[np.fromiter(entries, int)] = np.fromiter(entries.values(), float)
+    return BaseCostTable(rank, costs)
+
+
+def parse_outcome(parse, mapping):
+    try:
+        return parse(mapping).costs.tolist()
+    except Exception as e:  # the error itself is the outcome compared
+        return type(e), str(e)
+
+
+def respell(indices, rng):
+    """A non-canonical key for the same support: indices permuted, padded
+    with spaces, leading zeros or "+", and empty parts mixed in."""
+    parts = [
+        " " * int(rng.integers(3)) + str(rng.choice(["", "0", "00", "+"])) + str(i)
+        + " " * int(rng.integers(3))
+        for i in rng.permutation(indices).tolist()
+    ]
+    for _ in range(int(rng.integers(3))):
+        parts.insert(int(rng.integers(len(parts) + 1)), str(rng.choice(["", " "])))
+    return ",".join(parts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rank=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    respelled=st.sampled_from([0.0, 0.1, 1.0]),
+    corruption=st.sampled_from([None, "zero", "index zero", "duplicate", "out of rank", "1.5"]),
+)
+def test_from_mapping_matches_the_reference_parser(rank, seed, respelled, corruption):
+    rng = np.random.default_rng(seed)
+    masks = rng.permutation(np.arange(1, 1 << rank)).tolist()
+    keys = [
+        respell(support(m), rng) if rng.random() < respelled else ",".join(map(str, support(m)))
+        for m in masks
+    ]
+    if corruption is not None:
+        at = int(rng.integers(len(keys)))
+        other = support(masks[(at + 1) % len(masks)])
+        keys[at] = {
+            "zero": str(rng.choice(["", " ", ",", " , "])),
+            "index zero": ",".join(map(str, (0,) + other)),
+            "duplicate": ",".join(map(str, other[::-1])) + " ",
+            "out of rank": ",".join(map(str, other + (rank + 1 + int(rng.integers(3)),))),
+            "1.5": "1.5",
+        }[corruption]
+    costs = rng.uniform(0.25, 4.0, len(keys)).tolist()
+    # A corrupted key can coincide with another; both parsers then see
+    # the same shorter mapping.
+    mapping = dict(zip(keys, costs))
+    want = parse_outcome(reference_from_mapping, mapping)
+    assert parse_outcome(BaseCostTable.from_mapping, mapping) == want
+    if corruption is None:  # every key names its mask, however spelled
+        assert want == [0.0] + [c for _, c in sorted(zip(masks, costs))]
+
+
+def test_to_mapping_writes_each_support_in_mask_order():
+    from boolnorm.norms import _support_keys
+
+    assert _support_keys(0) == [""]
+    for rank in range(1, 11):
+        assert len(_support_keys(rank)) == 2**rank
+        base = random_base_table(rng_from(31, rank), rank)
+        want = [
+            (",".join(map(str, support(mask))), base.costs.item(mask)) for mask in range(1, 1 << rank)
+        ]
+        assert list(base.to_mapping().items()) == want
 
 
 def test_oracle_for_dispatch():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -515,7 +516,6 @@ def per_stratum_json(checker, basis, oracle, tol):
     }
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # 0 * inf
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_every_stratum_in_one_call_equals_the_per_stratum_reports(data):
@@ -535,6 +535,24 @@ def test_every_stratum_in_one_call_equals_the_per_stratum_reports(data):
         # NaN != NaN, so compare the JSON text
         got = json.dumps(checker(basis, oracle, tol=tol).to_json())
         assert got == json.dumps(per_stratum_json(checker, basis, oracle, tol))
+
+
+def test_tolerance_zero_on_an_infinite_table_warns_of_nothing():
+    """0 * inf and -inf + inf in the slack are masked by the non-finite
+    test, so they must not surface as numpy RuntimeWarnings."""
+    from boolnorm import TriangularBasis
+    from boolnorm.norms import exceeds
+
+    inf = float("inf")
+    basis = TriangularBasis((0b01, 0b11))
+    oracle = NormOracle(2, table=[0.0, 1.0, inf, inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = exceeds(np.array([1.0, inf, 1.0, -inf]), np.array([-inf, 1.0, inf, 1.0]), tol=0.0)
+        assert got.tolist() == [True] * 4
+        assert exceeds(1.0, -inf) and exceeds(inf, 1.0, tol=0.0)
+        report = check_discreteness(basis, oracle, tol=0.0)
+    assert not report.passed and report.checked > 0
 
 
 def test_registry_builds_one_coordinate_view_per_stratum_check(monkeypatch):
