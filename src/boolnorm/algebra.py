@@ -118,44 +118,40 @@ class GeneralBasis:
 Basis = Union[TriangularBasis, GeneralBasis]
 
 
-def express_in_basis(g: Element, basis: Basis) -> tuple[int, ...]:
-    """Row positions (1-based, sorted) whose rows sum to g.
-
-    Triangular bases are solved by back-substitution from the largest index
-    down; general bases go through Gaussian elimination and fail with
-    NotInSpanError when a nonzero residue remains.
-    """
-    if isinstance(basis, TriangularBasis):
-        rows = basis.rows
-        combo = 0
-        vec = g
-        while vec:
-            j = vec.bit_length()
-            if j > len(rows):
-                raise NotInSpanError(f"index {j} exceeds basis rank {len(rows)}")
-            combo |= 1 << (j - 1)
-            vec ^= rows[j - 1]
-        return support(combo)
-
-    pivots: dict[int, tuple[int, int]] = {}
-    for pos, row in enumerate(basis.rows, 1):
-        vec, combo = row, 1 << (pos - 1)
-        while vec:
-            top = vec.bit_length()
-            if top not in pivots:
-                pivots[top] = (vec, combo)
-                break
-            pvec, pcombo = pivots[top]
-            vec ^= pvec
-            combo ^= pcombo
-    vec, combo = g, 0
+def _reduce(
+    vec: Element, combo: int, pivots: dict[int, tuple[Element, int]]
+) -> tuple[Element, int]:
+    """XOR pivot rows into vec (and their coordinate masks into combo) until
+    its top index has no pivot; returns the residue, 0 when vec is in their
+    span.  A negative mask is refused: its XOR walk would cycle."""
+    if vec < 0:
+        raise ValueError(f"element mask must be nonnegative, got {vec}")
     while vec:
-        top = vec.bit_length()
-        if top not in pivots:
-            raise NotInSpanError("element has a residue outside the row span")
-        pvec, pcombo = pivots[top]
-        vec ^= pvec
-        combo ^= pcombo
+        pivot = pivots.get(vec.bit_length())
+        if pivot is None:
+            break
+        vec ^= pivot[0]
+        combo ^= pivot[1]
+    return vec, combo
+
+
+def _pivots(rows: Iterable[Element]) -> dict[int, tuple[Element, int]]:
+    """Gaussian elimination over GF(2): top index -> (reduced row, mask of
+    the row positions summed into it), one entry per independent row."""
+    pivots: dict[int, tuple[Element, int]] = {}
+    for pos, row in enumerate(rows):
+        vec, combo = _reduce(row, 1 << pos, pivots)
+        if vec:
+            pivots[vec.bit_length()] = (vec, combo)
+    return pivots
+
+
+def express_in_basis(g: Element, basis: Basis) -> tuple[int, ...]:
+    """Row positions (1-based, sorted) whose rows sum to g; NotInSpanError
+    when a nonzero residue remains after elimination."""
+    vec, combo = _reduce(g, 0, _pivots(basis.rows))
+    if vec:
+        raise NotInSpanError("element has a residue outside the row span")
     return support(combo)
 
 
@@ -216,12 +212,4 @@ def span_elements(rows: Sequence[Element]) -> np.ndarray:
 
 def gf2_rank(rows: Iterable[int]) -> int:
     """Rank over GF(2) of the given int-mask rows."""
-    pivots: dict[int, int] = {}
-    for vec in rows:
-        while vec:
-            top = vec.bit_length()
-            if top not in pivots:
-                pivots[top] = vec
-                break
-            vec ^= pivots[top]
-    return len(pivots)
+    return len(_pivots(rows))

@@ -167,7 +167,7 @@ def cmd_rebase(args) -> int:
     checked, witness_failures = check_witnesses(built, basis, seq, combo_masks)
 
     profile = separation_profile(built, coordinate_norm(basis, oracle), seq)
-    ok = res.independent and res.rank == nrows and witness_failures == 0
+    ok = res.independent and witness_failures == 0
     payload = {
         "rows": [list(support(row)) for row in built.rows],
         "f_iterates": f_iterates(seq, rank),

@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .algebra import Basis, GeneralBasis, TriangularBasis, gf2_rank
+from .algebra import Basis, GeneralBasis, TriangularBasis, _index, gf2_rank
 from .errors import InvalidIndexError, SequenceTooShortError, UnusableSequenceError
 from .norms import NormOracle
 
@@ -27,7 +27,7 @@ class ApproachSequence:
     terms: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        terms = tuple(int(t) for t in self.terms)
+        terms = tuple(_index(t) for t in self.terms)
         object.__setattr__(self, "terms", terms)
         if not terms:
             raise ValueError("sequence must be nonempty")
@@ -83,7 +83,7 @@ def normalize_sequence(
         raise UnusableSequenceError("sequence is empty")
     fixed: list[int] = []
     for i, t in enumerate(raw_terms, 1):
-        t = int(t)
+        t = _index(t)
         if t <= 0:
             raise UnusableSequenceError(f"term {i} is zero or negative")
         if t >> rank:
@@ -161,7 +161,7 @@ def block_partition(
         raise SequenceTooShortError("no block fits: the first top index already exceeds rank")
     nrows = iters[-1]
     blocks: dict[int, list[int]] = {}
-    for label in sorted(set(int(i) for i in combo)):
+    for label in sorted(set(_index(i) for i in combo)):
         if not 0 <= label < nrows:
             raise InvalidIndexError(f"row label {label} out of range 0..{nrows - 1}")
         key = -1 if label == 0 else bisect_right(iters, label) - 1
@@ -205,6 +205,10 @@ def check_witnesses(
     rows = built.rows
     checked = failures = 0
     for mask in combo_masks:
+        if not 0 < mask < 1 << len(rows):
+            raise InvalidIndexError(
+                f"combination mask {mask} out of range 1..{(1 << len(rows)) - 1}"
+            )
         labels = [i for i in range(len(rows)) if mask >> i & 1]
         total = 0
         for lab in labels:

@@ -21,18 +21,15 @@ DEFAULT_SEARCH_BOUND = 24
 SEARCH_BOUND_ENV = "BOOLNORM_SEARCH_BOUND"
 
 
-def search_bound(override: int | None = None) -> int:
-    """Effective coset search bound: explicit override, else the
-    BOOLNORM_SEARCH_BOUND environment variable, else the default."""
+def search_bound() -> int:
+    """Effective coset search bound: the BOOLNORM_SEARCH_BOUND environment
+    variable, else the default."""
     env = os.environ.get(SEARCH_BOUND_ENV)
-    if override is not None:
-        bound, source = int(override), "search bound"
-    elif env is not None:
-        bound, source = int(env), SEARCH_BOUND_ENV
-    else:
+    if env is None:
         return DEFAULT_SEARCH_BOUND
+    bound = int(env)
     if bound < 1:
-        raise ValueError(f"{source} must be >= 1, got {bound}")
+        raise ValueError(f"{SEARCH_BOUND_ENV} must be >= 1, got {bound}")
     return bound
 
 
@@ -142,14 +139,9 @@ def _argmin_pruned(
     return min(ties, key=support), best_norm, evaluated
 
 
-def coset_argmin(
-    oracle: NormOracle,
-    coset: CosetSpec,
-    *,
-    bound: int | None = None,
-) -> Element:
+def coset_argmin(oracle: NormOracle, coset: CosetSpec) -> Element:
     """Unique cheapest element of the coset under (norm, support) order."""
-    limit = search_bound(bound)
+    limit = search_bound()
     if len(coset.span_rows) > limit:
         raise SearchBoundExceededError(
             f"coset spans {len(coset.span_rows)} rows, search bound is {limit}"
@@ -161,11 +153,7 @@ def coset_argmin(
 
 
 def reduce_basis_report(
-    oracle: NormOracle,
-    rank: int,
-    *,
-    prune: bool = False,
-    bound: int | None = None,
+    oracle: NormOracle, rank: int, *, prune: bool = False
 ) -> tuple[TriangularBasis, list[RowRecord]]:
     """Reduced basis plus per-row search statistics.
 
@@ -179,7 +167,7 @@ def reduce_basis_report(
         raise ValueError("rank must be >= 1")
     if rank > oracle.rank:
         raise ValueError(f"norm oracle covers rank {oracle.rank}, need {rank}")
-    limit = search_bound(bound)
+    limit = search_bound()
     if rank > limit:
         raise SearchBoundExceededError(f"rank {rank} exceeds search bound {limit}")
     table = restrict_oracle(oracle, rank).table()
@@ -207,16 +195,10 @@ def reduce_basis_report(
     return TriangularBasis(tuple(rows)), records
 
 
-def reduce_basis(
-    oracle: NormOracle,
-    rank: int,
-    *,
-    prune: bool = False,
-    bound: int | None = None,
-) -> TriangularBasis:
+def reduce_basis(oracle: NormOracle, rank: int, *, prune: bool = False) -> TriangularBasis:
     """Reduced basis of the rank-n truncation under the given norm.
 
     prune=True gives the same basis only when the oracle really is a norm:
     its cut assumes the triangle inequality, so on a table that is not
     subadditive it may return a different, wrong basis."""
-    return reduce_basis_report(oracle, rank, prune=prune, bound=bound)[0]
+    return reduce_basis_report(oracle, rank, prune=prune)[0]

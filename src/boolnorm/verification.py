@@ -8,7 +8,7 @@ the same code paths as conforming instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -66,19 +66,6 @@ def _coordinate_view(
     return vals, row_norm, pop, low
 
 
-def _letter_pass(
-    vals: np.ndarray, pop: np.ndarray
-) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Per letter j: the masks c holding j in increasing order, the depth
-    k of j in c (the number of letters of c above j) and 2**k * vals[c].
-    Scaling by a power of two is exact."""
-    masks = np.arange(vals.size)
-    for j in range(vals.size.bit_length() - 1):
-        c = masks.reshape(-1, 2, 1 << j)[:, 1, :].ravel()
-        k = pop[c >> (j + 1)]
-        yield j, c, k, np.ldexp(vals[c], k)
-
-
 def check_monotone_tail(
     basis: Basis, oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE
 ) -> LemmaReport:
@@ -101,8 +88,15 @@ def check_geometric_bound(
     """Doubling bound: in any reduced word, the k-th letter from the top
     costs at most 2**k times the word."""
     vals, row_norm, pop, _ = _coordinate_view(basis, oracle)
+    masks = np.arange(vals.size)
     found = []
-    for j, c, k, rhs in _letter_pass(vals, pop):
+    for j in range(row_norm.size):
+        # The masks c holding letter j in increasing order, the depth k of j
+        # in c (the letters of c above j) and 2**k * vals[c]; scaling by a
+        # power of two is exact.
+        c = masks.reshape(-1, 2, 1 << j)[:, 1, :].ravel()
+        k = pop[c >> (j + 1)]
+        rhs = np.ldexp(vals[c], k)
         bad = np.flatnonzero(exceeds(row_norm[j], rhs, tol))
         found += zip(c[bad].tolist(), k[bad].tolist(), [j] * bad.size, rhs[bad].tolist())
     found.sort()  # by word, then depth
@@ -115,19 +109,26 @@ def check_geometric_bound(
 
 def worst_geometric_ratio(basis: Basis, oracle: NormOracle) -> float:
     """Largest observed (letter norm) / (2**k * word norm) over words of
-    length >= 2; <= 1 exactly when the doubling bound holds there.  Single
-    letters are skipped because their depth-0 case is an exact identity.
-    A non-finite norm, or a word norm <= 0, makes the ratio inf."""
+    length >= 2, floored at 0; <= 1 exactly when the doubling bound holds
+    there.  Single letters are skipped because their depth-0 case is an
+    exact identity.  A non-finite norm, or a word norm <= 0, makes the
+    ratio inf."""
     vals, row_norm, pop, _ = _coordinate_view(basis, oracle)
     if row_norm.size < 2:
         return 0.0
-    if not np.isfinite(vals[1:]).all() or (vals[pop >= 2] <= 0.0).any():
+    long = pop >= 2
+    if not np.isfinite(vals[1:]).all() or (vals[long] <= 0.0).any():
         return float("inf")
-    worst = 0.0
-    for j, _, _, rhs in _letter_pass(vals, pop):
-        # rhs[0] belongs to the single letter j; the rest are longer words.
-        worst = max(worst, float((row_norm[j] / rhs[1:]).max()))
-    return worst
+    # scaled[c] = max over letters j of c of row_norm[j] / 2**k, k the depth
+    # of j in c.  The masks in [2^j, 2^(j+1)) have top letter j at depth 0,
+    # and each letter below it sits one deeper than in c - 2^j.  Halving is
+    # exact above the subnormal range, and dividing by a positive word norm
+    # keeps the maximum.
+    scaled = np.empty(vals.size)
+    scaled[0] = -np.inf
+    for j in range(row_norm.size):
+        np.maximum(scaled[: 1 << j] * 0.5, row_norm[j], out=scaled[1 << j : 2 << j])
+    return max(0.0, float((scaled[long] / vals[long]).max()))
 
 
 def separation_epsilon(coord_set: Iterable[int], basis: Basis, oracle: NormOracle) -> float:

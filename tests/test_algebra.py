@@ -1,4 +1,5 @@
 import itertools
+import signal
 
 import numpy as np
 import pytest
@@ -162,6 +163,31 @@ def test_express_round_trips_on_random_triangular_bases(data):
     g = data.draw(st.integers(min_value=0, max_value=(1 << rank) - 1))
     coords = express_in_basis(g, basis)
     assert element_from_coordinates(basis, coords) == g
+
+
+def within_seconds(seconds, fn, *args):
+    """fn(*args), raising TimeoutError instead of hanging past the deadline."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{fn.__name__} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return fn(*args)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("basis", [TriangularBasis((1, 3)), GeneralBasis((1, 3))])
+def test_negative_element_is_refused_not_walked_forever(basis):
+    # -3 XOR 3 is -2 and -2 XOR 1 is -1: the walk would cycle between them
+    for call in (express_in_basis, reduced_length):
+        with pytest.raises(ValueError, match="element mask must be nonnegative, got -3"):
+            within_seconds(5, call, -3, basis)
+    with pytest.raises(ValueError, match="element mask must be nonnegative"):
+        within_seconds(5, gf2_rank, [3, -3])
 
 
 def test_reduced_length():

@@ -2,6 +2,7 @@ import pytest
 
 from boolnorm import check_norm_axioms
 from boolnorm.instances import (
+    NORM_FAMILIES,
     random_base_table,
     random_metric_spec,
     random_norm,
@@ -39,8 +40,12 @@ def test_random_norms_satisfy_axioms():
 
 
 def test_random_norm_rejects_unknown_family():
-    with pytest.raises(ValueError):
-        random_norm(rng_from(9, 0), 4, "bogus")
+    rng = rng_from(9, 0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="unknown norm family 'bogus'"):
+        random_norm(rng, 4, "bogus")
+    assert rng.bit_generator.state == state  # refused before anything is drawn
+    assert NORM_FAMILIES == ("weighted", "graev", "closure")
 
 
 def test_raw_sequences_have_increasing_tops():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +53,22 @@ def test_approach_sequence_invariants():
         ApproachSequence((from_support([2]), from_support([1, 2])))  # f not increasing
     with pytest.raises(ValueError):
         ApproachSequence((from_support([1, 2, 3]), from_support([1, 3, 4])))  # a1 not a letter
+
+
+def test_non_integer_terms_and_labels_are_refused(flat_basis4):
+    basis, oracle = flat_basis4
+    with pytest.raises(TypeError):
+        ApproachSequence((2.7, 4.2))
+    with pytest.raises(TypeError):
+        normalize_sequence([2.9, 12.5], basis, oracle)
+    with pytest.raises(TypeError):
+        block_partition([1.7, True], basis, seq4())
+    # numpy integers are integers
+    terms = np.array(seq4().terms)
+    seq = ApproachSequence(tuple(terms))
+    assert seq == seq4() and all(type(t) is int for t in seq.terms)
+    assert normalize_sequence(list(terms), basis, oracle) == seq4()
+    assert block_partition(np.arange(4), basis, seq) == block_partition(range(4), basis, seq)
 
 
 def test_normalize_keeps_valid_sequences(flat_basis4):
@@ -260,3 +277,14 @@ def test_check_witnesses_counts_every_mask_and_catches_a_corrupt_row(flat_basis4
     corrupt = GeneralBasis(built.rows[:3] + (from_support([1]),))
     checked, failures = check_witnesses(corrupt, basis, seq, range(1, 16))
     assert checked == 15 and failures > 0
+
+
+@pytest.mark.parametrize("mask", [0, -1, 0b10000, 0b10001])
+def test_check_witnesses_refuses_a_mask_outside_the_rows(flat_basis4, mask):
+    # 0b10001 would select row 0 and a fifth row that does not exist
+    basis, _ = flat_basis4
+    seq = seq4()
+    built = build_second_basis(basis, seq)
+    assert len(built.rows) == 4
+    with pytest.raises(InvalidIndexError):
+        check_witnesses(built, basis, seq, [1, mask])

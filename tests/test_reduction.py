@@ -26,7 +26,7 @@ from boolnorm import (
 )
 from boolnorm.instances import random_base_table, random_norm, rng_from
 from boolnorm.norms import closure_norm
-from boolnorm.reduction import _argmin_exhaustive, search_bound
+from boolnorm.reduction import DEFAULT_SEARCH_BOUND, _argmin_exhaustive, search_bound
 
 
 def brute_coset_min(oracle, offset, rows):
@@ -118,30 +118,32 @@ def test_reduction_is_deterministic():
     assert reduce_basis(oracle, 8).rows == reduce_basis(oracle, 8).rows
 
 
-def test_search_bound_enforced(norm_a):
+def test_search_bound_enforced(norm_a, monkeypatch):
+    monkeypatch.setenv("BOOLNORM_SEARCH_BOUND", "1")
     with pytest.raises(SearchBoundExceededError):
-        reduce_basis(norm_a, 2, bound=1)
+        reduce_basis(norm_a, 2)
     coset = CosetSpec(from_support([3]), (from_support([1]), from_support([2])))
     with pytest.raises(SearchBoundExceededError):
-        coset_argmin(norm_a, coset, bound=1)
+        coset_argmin(norm_a, coset)
 
 
 @pytest.mark.parametrize("override", [0, -3])
-def test_search_bound_override_below_one_is_refused(override, norm_a):
-    with pytest.raises(ValueError, match="search bound must be >= 1"):
-        search_bound(override)
+def test_search_bound_override_below_one_is_refused(override, norm_a, monkeypatch):
+    monkeypatch.setenv("BOOLNORM_SEARCH_BOUND", str(override))
+    with pytest.raises(ValueError, match="BOOLNORM_SEARCH_BOUND must be >= 1"):
+        search_bound()
     with pytest.raises(ValueError):
-        reduce_basis(norm_a, 2, bound=override)
+        reduce_basis(norm_a, 2)
+    with pytest.raises(ValueError):
+        coset_argmin(norm_a, CosetSpec(from_support([2]), (from_support([1]),)))
 
 
 def test_search_bound_env_override(monkeypatch, norm_a):
+    monkeypatch.delenv("BOOLNORM_SEARCH_BOUND", raising=False)
+    assert search_bound() == DEFAULT_SEARCH_BOUND == 24
     monkeypatch.setenv("BOOLNORM_SEARCH_BOUND", "1")
     assert search_bound() == 1
-    with pytest.raises(SearchBoundExceededError):
-        reduce_basis(norm_a, 2)
-    monkeypatch.setenv("BOOLNORM_SEARCH_BOUND", "0")
-    with pytest.raises(ValueError):
-        search_bound()
+    assert reduce_basis(norm_a, 1).rows == (1,)
 
 
 def test_rank_validation(norm_a):

@@ -331,6 +331,66 @@ def test_vectorized_tail_and_doubling_match_scalar_loops_with_non_finite_values(
     assert worst_geometric_ratio(basis, oracle) == worst
 
 
+def reference_worst_ratio(basis, oracle):
+    """worst_geometric_ratio in its per-letter form, kept as the reference
+    for the doubled one: for each letter j, row_norm[j] / (2**k * vals[c])
+    over every word c of length >= 2 holding j, k being j's depth in c."""
+    from boolnorm import span_elements
+
+    r = len(basis.rows)
+    vals = oracle.values(span_elements(basis.rows))
+    if r < 2:
+        return 0.0
+    pop = np.array([c.bit_count() for c in range(vals.size)])
+    if not np.isfinite(vals[1:]).all() or (vals[pop >= 2] <= 0.0).any():
+        return float("inf")
+    row_norm = vals[1 << np.arange(r)]
+    masks = np.arange(vals.size)
+    worst = 0.0
+    for j in range(r):
+        c = masks.reshape(-1, 2, 1 << j)[:, 1, :].ravel()
+        rhs = np.ldexp(vals[c], pop[c >> (j + 1)])
+        # rhs[0] belongs to the single letter j; the rest are longer words.
+        worst = max(worst, float((row_norm[j] / rhs[1:]).max()))
+    return worst
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_worst_ratio_matches_the_per_letter_reference(data):
+    from boolnorm import TriangularBasis
+
+    if data.draw(st.booleans()):
+        # a campaign instance: a drawn norm and its reduced basis
+        rank = data.draw(st.integers(min_value=1, max_value=8))
+        family = data.draw(st.sampled_from(("weighted", "graev", "closure")))
+        seed = data.draw(st.integers(min_value=0, max_value=10**6))
+        _, oracle = random_norm(rng_from(seed, rank), rank, family)
+        basis = reduce_basis(oracle, rank)
+    else:
+        # a raw table: ties, zeros, negative row norms, NaN and inf
+        rank = data.draw(st.integers(min_value=1, max_value=6))
+        nan, inf = float("nan"), float("inf")
+        value = st.sampled_from(
+            [0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 1.0 + 1e-10, -1.0, -2.5, nan, inf, -inf]
+        )
+        size = (1 << rank) - 1
+        table = [0.0] + data.draw(st.lists(value, min_size=size, max_size=size))
+        rows = tuple(
+            data.draw(st.integers(min_value=0, max_value=(1 << j) - 1)) | 1 << j
+            for j in range(rank)
+        )
+        if data.draw(st.booleans()):
+            # every row norm <= 0 and every other value >= 0: the 0.0 floor
+            table = [abs(v) for v in table]
+            for row in rows:
+                table[row] = -table[row]
+        basis, oracle = TriangularBasis(rows), NormOracle(rank, table=table)
+    got = worst_geometric_ratio(basis, oracle)
+    assert type(got) is float
+    assert repr(got) == repr(reference_worst_ratio(basis, oracle))
+
+
 @pytest.mark.parametrize(
     "table", [[0.0, 1.0, float("nan"), 2.0], [0.0, float("nan"), 1.0, 2.0]]
 )
