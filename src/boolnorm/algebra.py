@@ -9,15 +9,14 @@ equality is element equality.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import IndexOutOfRankError, NotInSpanError, RankTooLargeError, StratumRangeError
+from .errors import IndexOutOfRankError, NotInSpanError, RankTooLargeError
 
 Element = int
 
@@ -155,11 +154,6 @@ def express_in_basis(g: Element, basis: Basis) -> tuple[int, ...]:
     return support(combo)
 
 
-def reduced_length(g: Element, basis: Basis) -> int:
-    """Number of rows in the expansion of g, i.e. its reduced length."""
-    return len(express_in_basis(g, basis))
-
-
 def element_from_coordinates(basis: Basis, coords: Iterable[int]) -> Element:
     """Inverse of express_in_basis: XOR of the selected rows."""
     rows = basis.rows
@@ -170,24 +164,6 @@ def element_from_coordinates(basis: Basis, coords: Iterable[int]) -> Element:
             raise ValueError(f"row position {pos} out of range 1..{len(rows)}")
         g ^= rows[pos - 1]
     return g
-
-
-def enumerate_stratum(rank: int, k: int, mode: str = "exactly") -> Iterator[tuple[int, ...]]:
-    """Coordinate sets of reduced length k ("exactly") or <= k ("at-most"),
-    in lexicographic order within each size.  Validates eagerly."""
-    if k < 0:
-        raise ValueError("stratum length must be >= 0")
-    if k > rank:
-        raise StratumRangeError(f"stratum length {k} exceeds rank {rank}")
-    if mode not in ("exactly", "at-most"):
-        raise ValueError(f"unknown mode {mode!r}")
-    sizes: Iterable[int] = (k,) if mode == "exactly" else range(k + 1)
-
-    def generate() -> Iterator[tuple[int, ...]]:
-        for m in sizes:
-            yield from itertools.combinations(range(1, rank + 1), m)
-
-    return generate()
 
 
 def require_memory(nbytes: int, what: str) -> None:

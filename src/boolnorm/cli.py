@@ -33,7 +33,7 @@ from .rebasing import (
     verify_independence,
 )
 from .reduction import reduce_basis, reduce_basis_report
-from .verification import LEMMA_CHECKS
+from .verification import LEMMA_CHECKS, run_checks
 
 
 def _load_json(path: str):
@@ -133,7 +133,7 @@ def cmd_verify(args) -> int:
         basis = _load_basis_file(args.basis, oracle.rank)
     else:
         basis = reduce_basis(oracle, rank)
-    reports = {name: LEMMA_CHECKS[name](basis, oracle) for name in checks}
+    reports, _ = run_checks(basis, oracle, checks)
     ok = all(rep.passed for rep in reports.values())
     payload = {
         "rank": len(basis.rows),

@@ -28,14 +28,17 @@ def exceeds(lhs, rhs, tol: float = RELATIVE_TOLERANCE):
     A NaN or infinite value on either side always exceeds: a bound that
     cannot be evaluated is a violation, never a pass."""
     big = np.maximum(np.abs(lhs), np.abs(rhs))
-    finite = np.isfinite(big)
-    if finite.all():
+    # rhs + tol * big lies within big * (1 + |tol|), so below this limit it
+    # is finite (a NaN or inf big fails the test).  errstate stays off this
+    # path: checkers make thousands of tiny calls.
+    if big.max(initial=0.0) < 2.0**1022 / (1 + abs(tol)):
         return lhs > rhs + tol * big
-    # A non-finite big can make the slack 0 * inf or -inf + inf; those NaNs
-    # are masked by ~finite, so numpy need not report them.  errstate stays
-    # off the all-finite path: checkers make thousands of tiny calls.
-    with np.errstate(invalid="ignore"):
-        return (lhs > rhs + tol * big) | ~finite
+    # A bound past the float range rounds to the inf of its sign, which a
+    # finite lhs compares with as with the exact bound.  A non-finite big can
+    # make the slack 0 * inf or -inf + inf; those NaNs are masked by the
+    # finiteness test.  So numpy need not report either.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (lhs > rhs + tol * big) | ~np.isfinite(big)
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .algebra import Basis, GeneralBasis, TriangularBasis, _index, gf2_rank
-from .errors import InvalidIndexError, SequenceTooShortError, UnusableSequenceError
+from .errors import (
+    InvalidIndexError,
+    RankTooLargeError,
+    SequenceTooShortError,
+    UnusableSequenceError,
+)
 from .norms import NormOracle
 
 
@@ -193,6 +200,25 @@ def witness_nonvanishing(
     return iters[m + 1]
 
 
+def _witness_letters(masks: np.ndarray, iters: list[int]) -> np.ndarray:
+    """witness_nonvanishing of every combination mask at once (bit i selects
+    row label i, every label below iters[-1]).  The top label is the mask's
+    exact bit length - 1 (bits smeared down, then counted); block k holds
+    labels [iters[k], iters[k+1]), and an even count of selected labels in
+    the top block gives the top label, an odd one iters[k+1].  Mask 1 is
+    block -1, letter 1."""
+    smear = masks
+    for shift in (1, 2, 4, 8, 16, 32):
+        smear = smear | smear >> shift
+    top = np.bitwise_count(smear).astype(np.int64) - 1
+    bounds = np.array(iters, dtype=np.int64)
+    block = np.searchsorted(bounds, top, side="right") - 1
+    inside = np.diff(1 << bounds)  # inside[k]: the labels of block k
+    # block -1 reads the last block here; its letter is 1 whatever that gives
+    odd = np.bitwise_count(masks & inside[block]) & 1 == 1
+    return np.where(block < 0, 1, np.where(odd, bounds[block + 1], top))
+
+
 def check_witnesses(
     built: GeneralBasis,
     basis: TriangularBasis,
@@ -201,22 +227,38 @@ def check_witnesses(
 ) -> tuple[int, int]:
     """Cross-check witness_nonvanishing against the rebased rows: for each
     combination mask (bit i selects row label i), the witnessed letter must
-    occur in the sum of the selected rows.  Returns (checked, failures)."""
+    occur in the sum of the selected rows.  Returns (checked, failures).
+
+    The masks are checked in one array pass; a mask outside 1..2**rows - 1,
+    or one that witness_nonvanishing would refuse, raises the error it
+    would, the first such mask first."""
+    masks = [_index(m) for m in combo_masks]
+    if not masks:
+        return 0, 0
     rows = built.rows
-    checked = failures = 0
-    for mask in combo_masks:
-        if not 0 < mask < 1 << len(rows):
-            raise InvalidIndexError(
-                f"combination mask {mask} out of range 1..{(1 << len(rows)) - 1}"
-            )
-        labels = [i for i in range(len(rows)) if mask >> i & 1]
-        total = 0
-        for lab in labels:
-            total ^= rows[lab]
-        wit = witness_nonvanishing(labels, basis, seq)
-        checked += 1
-        failures += not total >> (wit - 1) & 1
-    return checked, failures
+    iters = f_iterates(seq, basis.rank)
+    # A witnessed letter is at most iters[-1] <= rank, and reduce_basis
+    # needs a 2**rank table, so iters[-1] stays far below the 62 bits that
+    # keep masks, row bits and block masks inside int64.
+    if iters[-1] > 62:
+        raise RankTooLargeError(f"witness pass holds masks of at most 62 bits, not {iters[-1]}")
+    limit = 1 << len(rows)
+    # From 2**iters[-1] on a mask selects a label that no block holds, and
+    # every label lacks one when no block fits.
+    bound = min(limit, 1 << iters[-1]) if len(iters) > 1 else 1
+    if not (min(masks) > 0 and max(masks) < bound):
+        bad = next(m for m in masks if not 0 < m < bound)
+        if not 0 < bad < limit:
+            raise InvalidIndexError(f"combination mask {bad} out of range 1..{limit - 1}")
+        # refuses the mask with the error of the block argument
+        witness_nonvanishing([i for i in range(len(rows)) if bad >> i & 1], basis, seq)
+    arr = np.array(masks, dtype=np.int64)
+    total = np.zeros_like(arr)
+    low = (1 << iters[-1]) - 1
+    for label, row in enumerate(rows[: iters[-1]]):
+        total ^= -(arr >> label & 1) & (row & low)
+    wit = _witness_letters(arr, iters)
+    return len(masks), int(np.count_nonzero(total >> (wit - 1) & 1 == 0))
 
 
 def separation_profile(

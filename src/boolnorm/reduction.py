@@ -78,32 +78,6 @@ def _argmin_dense(members: np.ndarray, values: np.ndarray) -> tuple[Element, flo
     return elem, float(best)
 
 
-def _argmin_exhaustive(
-    oracle: NormOracle, offset: Element, rows: tuple[Element, ...]
-) -> tuple[Element, float, int]:
-    # Gray-code walk over all 2**k coset members: each step flips one row.
-    # The reference that the dense search is tested against.
-    best = offset
-    best_norm = oracle(offset)
-    best_support: tuple[int, ...] | None = None
-    cur = offset
-    evaluated = 1
-    call = oracle.__call__
-    for i in range(1, 1 << len(rows)):
-        cur ^= rows[(i & -i).bit_length() - 1]
-        v = call(cur)
-        evaluated += 1
-        if v < best_norm:
-            best, best_norm, best_support = cur, v, None
-        elif v == best_norm:
-            if best_support is None:
-                best_support = support(best)
-            s = support(cur)
-            if s < best_support:
-                best, best_support = cur, s
-    return best, best_norm, evaluated
-
-
 def _argmin_pruned(
     table: np.ndarray, offset: Element, rows: tuple[Element, ...]
 ) -> tuple[Element, float, int]:
@@ -111,7 +85,7 @@ def _argmin_pruned(
     # with undecided rows j+1.., is cut only when N(p) minus the summed
     # norms of those rows strictly exceeds the incumbent: the triangle
     # inequality then rules out improvements *and* ties, so the answer is
-    # identical to the exhaustive walk.
+    # identical to an exhaustive search.
     item = table.item
     k = len(rows)
     suffix = [0.0] * (k + 1)

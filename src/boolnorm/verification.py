@@ -66,12 +66,21 @@ def _coordinate_view(
     return vals, row_norm, pop, low
 
 
-def check_monotone_tail(
-    basis: Basis, oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE
-) -> LemmaReport:
-    """Top-letter bound: for every nonempty coordinate set, the norm of the
-    highest-index row never exceeds the norm of the set's sum."""
-    vals, row_norm, _, _ = _coordinate_view(basis, oracle)
+def _scaled_letters(row_norm: np.ndarray) -> np.ndarray:
+    """scaled[c] = max over the letters j of c of row_norm[j] / 2**k, k the
+    depth of j in c (the letters of c above j); -inf at c = 0.  The masks in
+    [2^j, 2^(j+1)) have top letter j at depth 0, and each letter below it
+    sits one deeper than in c - 2^j.  Halving is exact above the subnormal
+    range."""
+    scaled = np.empty(1 << row_norm.size)
+    scaled[0] = -np.inf
+    for j in range(row_norm.size):
+        np.maximum(scaled[: 1 << j] * 0.5, row_norm[j], out=scaled[1 << j : 2 << j])
+    return scaled
+
+
+def _tail_report(view: tuple, tol: float) -> LemmaReport:
+    vals, row_norm, _, _ = view
     # The 2^j masks in [2^j, 2^(j+1)) are the sets whose top letter is j.
     lhs = np.repeat(row_norm, 1 << np.arange(row_norm.size))
     rhs = vals[1:]
@@ -82,29 +91,78 @@ def check_monotone_tail(
     return LemmaReport("L0iii", not violations, rhs.size, violations)
 
 
+def _doubling_report(view: tuple, scaled: np.ndarray, tol: float) -> LemmaReport:
+    """L1 over the pairs (word c, letter j of c), with rhs = 2**k * vals[c],
+    k the depth of j in c; scaling by a power of two is exact.
+
+    On a finite table with tol >= 0 a violation needs row_norm[j] > rhs,
+    i.e. scaled[c] > vals[c], so only those words are scanned.  `scaled`
+    halves each row norm up to r times, which is exact unless a nonzero row
+    norm is below 2**r times the smallest normal float; such a table, a NaN
+    or inf, or tol < 0 scans every word.  `checked` counts every pair."""
+    vals, row_norm, pop, _ = view
+    r = row_norm.size
+    words = np.arange(vals.size)
+    small = np.abs(row_norm) < np.ldexp(np.finfo(float).tiny, r)
+    if tol >= 0 and np.isfinite(vals[1:]).all() and not (small & (row_norm != 0)).any():
+        words = words[scaled > vals]
+    # Every (word, letter) pair in (word, depth) order: columns run from the
+    # top letter down.
+    w, col = np.nonzero(words[:, None] >> np.arange(r - 1, -1, -1) & 1)
+    c, j = words[w], r - 1 - col
+    k = pop[c >> (j + 1)]
+    lhs = row_norm[j]
+    with np.errstate(over="ignore"):
+        rhs = np.ldexp(vals[c], k)
+    bad = exceeds(lhs, rhs, tol)
+    over = np.isinf(rhs) & np.isfinite(vals[c])
+    if over.any():
+        # 2**k * vals[c] left the float range, so it outweighs every finite
+        # lhs and the slack bound is 2**k * (vals[c] + tol * |vals[c]|).
+        # As k < r <= 14, |vals[c]| > 2**1011, so the sum in parentheses is 0
+        # or of magnitude at least 2**958, and ldexp is exact or overflows to
+        # the inf of its sign: the comparison an unbounded range would make.
+        v, lhs_o = vals[c[over]], lhs[over]
+        with np.errstate(over="ignore"):
+            bar = np.ldexp(v + tol * np.abs(v), k[over])
+        bad[over] = (lhs_o > bar) | ~np.isfinite(lhs_o)
+    i = np.flatnonzero(bad)
+    violations = tuple(
+        Violation({"word": list(support(word)), "k": depth}, lo, hi)
+        for word, depth, lo, hi in zip(
+            c[i].tolist(), k[i].tolist(), lhs[i].tolist(), rhs[i].tolist()
+        )
+    )
+    return LemmaReport("L1", not violations, r * (vals.size // 2), violations)
+
+
+def _ratio(view: tuple, scaled: np.ndarray) -> float:
+    vals, row_norm, pop, _ = view
+    if row_norm.size < 2:
+        return 0.0
+    long = pop >= 2
+    if not np.isfinite(vals[1:]).all() or (vals[long] <= 0.0).any():
+        return float("inf")
+    # Dividing by a positive word norm keeps the maximum.
+    return max(0.0, float((scaled[long] / vals[long]).max()))
+
+
+def check_monotone_tail(
+    basis: Basis, oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE
+) -> LemmaReport:
+    """Top-letter bound: for every nonempty coordinate set, the norm of the
+    highest-index row never exceeds the norm of the set's sum."""
+    return _tail_report(_coordinate_view(basis, oracle), tol)
+
+
 def check_geometric_bound(
     basis: Basis, oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE
 ) -> LemmaReport:
     """Doubling bound: in any reduced word, the k-th letter from the top
-    costs at most 2**k times the word."""
-    vals, row_norm, pop, _ = _coordinate_view(basis, oracle)
-    masks = np.arange(vals.size)
-    found = []
-    for j in range(row_norm.size):
-        # The masks c holding letter j in increasing order, the depth k of j
-        # in c (the letters of c above j) and 2**k * vals[c]; scaling by a
-        # power of two is exact.
-        c = masks.reshape(-1, 2, 1 << j)[:, 1, :].ravel()
-        k = pop[c >> (j + 1)]
-        rhs = np.ldexp(vals[c], k)
-        bad = np.flatnonzero(exceeds(row_norm[j], rhs, tol))
-        found += zip(c[bad].tolist(), k[bad].tolist(), [j] * bad.size, rhs[bad].tolist())
-    found.sort()  # by word, then depth
-    violations = tuple(
-        Violation({"word": list(support(c)), "k": k}, float(row_norm[j]), rhs)
-        for c, k, j, rhs in found
-    )
-    return LemmaReport("L1", not violations, row_norm.size * (vals.size // 2), violations)
+    costs at most 2**k times the word.  A bound 2**k times a finite norm
+    beyond the float range is compared as if that range were unbounded."""
+    view = _coordinate_view(basis, oracle)
+    return _doubling_report(view, _scaled_letters(view[1]), tol)
 
 
 def worst_geometric_ratio(basis: Basis, oracle: NormOracle) -> float:
@@ -113,22 +171,8 @@ def worst_geometric_ratio(basis: Basis, oracle: NormOracle) -> float:
     there.  Single letters are skipped because their depth-0 case is an
     exact identity.  A non-finite norm, or a word norm <= 0, makes the
     ratio inf."""
-    vals, row_norm, pop, _ = _coordinate_view(basis, oracle)
-    if row_norm.size < 2:
-        return 0.0
-    long = pop >= 2
-    if not np.isfinite(vals[1:]).all() or (vals[long] <= 0.0).any():
-        return float("inf")
-    # scaled[c] = max over letters j of c of row_norm[j] / 2**k, k the depth
-    # of j in c.  The masks in [2^j, 2^(j+1)) have top letter j at depth 0,
-    # and each letter below it sits one deeper than in c - 2^j.  Halving is
-    # exact above the subnormal range, and dividing by a positive word norm
-    # keeps the maximum.
-    scaled = np.empty(vals.size)
-    scaled[0] = -np.inf
-    for j in range(row_norm.size):
-        np.maximum(scaled[: 1 << j] * 0.5, row_norm[j], out=scaled[1 << j : 2 << j])
-    return max(0.0, float((scaled[long] / vals[long]).max()))
+    view = _coordinate_view(basis, oracle)
+    return _ratio(view, _scaled_letters(view[1]))
 
 
 def separation_epsilon(coord_set: Iterable[int], basis: Basis, oracle: NormOracle) -> float:
@@ -156,9 +200,7 @@ def min_separation(basis: Basis, oracle: NormOracle) -> float:
     return float(np.min([oracle(row) for row in rows])) / float(4 ** len(rows))
 
 
-def _stratum_report(
-    lemma: str, basis: Basis, oracle: NormOracle, n: int | None, tol: float
-) -> LemmaReport:
+def _stratum_report(lemma: str, view: tuple, n: int | None, tol: float) -> LemmaReport:
     """Separation of every word of reduced length n (of every length when n
     is None, strata in increasing order) from its partners: the other words
     of its stratum for L2, every strictly shorter word for L3.  Each pair
@@ -169,8 +211,8 @@ def _stratum_report(
     eps > d + tol * max(|eps|, |d|) >= d >= m0, so a word whose radius is
     at most m0 is cleared without a pair scan; `checked` still counts every
     pair covered.  A NaN or inf value, or tol < 0, scans every word."""
-    vals, _, pop, low = _coordinate_view(basis, oracle)
-    rank = len(basis.rows)
+    vals, row_norm, pop, low = view
+    rank = row_norm.size
     strata: Iterable[int] = range(rank + 1)
     if n is not None:
         n = _index(n)
@@ -212,7 +254,7 @@ def check_discreteness(
     """Within each reduced-length stratum (only stratum n when n is given),
     every two distinct words stay at least the first word's separation
     radius apart."""
-    return _stratum_report("L2", basis, oracle, n, tol)
+    return _stratum_report("L2", _coordinate_view(basis, oracle), n, tol)
 
 
 def check_closedness(
@@ -221,7 +263,7 @@ def check_closedness(
     """Words of reduced length n (of every length when n is omitted) keep
     their separation radius away from every strictly shorter word
     (including the zero word)."""
-    return _stratum_report("L3", basis, oracle, n, tol)
+    return _stratum_report("L3", _coordinate_view(basis, oracle), n, tol)
 
 
 def check_null_tail(
@@ -262,3 +304,29 @@ LEMMA_CHECKS: dict[str, Callable[[Basis, NormOracle], LemmaReport]] = {
     "L3": lambda basis, oracle: check_closedness(basis, oracle),
     "L4": lambda basis, oracle: check_null_tail(basis, oracle, range(1, len(basis.rows) + 1)),
 }
+
+
+def run_checks(
+    basis: Basis, oracle: NormOracle, names: Iterable[str], *, ratio: bool = False
+) -> tuple[dict[str, LemmaReport], float | None]:
+    """The reports of the named LEMMA_CHECKS, in the order named, and
+    worst_geometric_ratio when ratio is set (None otherwise), each equal to
+    what its public function returns.  They read one coordinate view of the
+    basis, built only if some check needs it, and L1 and the ratio share
+    its scaled letter norms."""
+    names = tuple(names)
+    view = scaled = None
+    if ratio or any(name != "L4" for name in names):
+        view = _coordinate_view(basis, oracle)
+    if ratio or "L1" in names:
+        scaled = _scaled_letters(view[1])
+    tol = RELATIVE_TOLERANCE
+    bodies = {
+        "L0iii": lambda: _tail_report(view, tol),
+        "L1": lambda: _doubling_report(view, scaled, tol),
+        "L2": lambda: _stratum_report("L2", view, None, tol),
+        "L3": lambda: _stratum_report("L3", view, None, tol),
+        "L4": lambda: LEMMA_CHECKS["L4"](basis, oracle),
+    }
+    reports = {name: bodies[name]() for name in names}
+    return reports, _ratio(view, scaled) if ratio else None

@@ -9,15 +9,12 @@ from hypothesis import strategies as st
 from boolnorm import (
     GeneralBasis,
     NotInSpanError,
-    StratumRangeError,
     TriangularBasis,
     element_from_coordinates,
-    enumerate_stratum,
     express_in_basis,
     from_support,
     gf2_rank,
     reduce_word,
-    reduced_length,
     support,
 )
 
@@ -183,53 +180,10 @@ def within_seconds(seconds, fn, *args):
 @pytest.mark.parametrize("basis", [TriangularBasis((1, 3)), GeneralBasis((1, 3))])
 def test_negative_element_is_refused_not_walked_forever(basis):
     # -3 XOR 3 is -2 and -2 XOR 1 is -1: the walk would cycle between them
-    for call in (express_in_basis, reduced_length):
-        with pytest.raises(ValueError, match="element mask must be nonnegative, got -3"):
-            within_seconds(5, call, -3, basis)
+    with pytest.raises(ValueError, match="element mask must be nonnegative, got -3"):
+        within_seconds(5, express_in_basis, -3, basis)
     with pytest.raises(ValueError, match="element mask must be nonnegative"):
         within_seconds(5, gf2_rank, [3, -3])
-
-
-def test_reduced_length():
-    basis = TriangularBasis((0b01, 0b11))
-    assert reduced_length(0, basis) == 0
-    assert reduced_length(from_support([2]), basis) == 2
-    assert reduced_length(basis.rows[1], basis) == 1
-
-
-def test_enumerate_stratum_examples():
-    assert list(enumerate_stratum(2, 1)) == [(1,), (2,)]
-    assert list(enumerate_stratum(3, 0)) == [()]
-    assert list(enumerate_stratum(3, 2, mode="at-most")) == [
-        (),
-        (1,),
-        (2,),
-        (3,),
-        (1, 2),
-        (1, 3),
-        (2, 3),
-    ]
-
-
-def test_enumerate_stratum_counts_and_partition():
-    rank = 6
-    seen = set()
-    import math
-
-    for k in range(rank + 1):
-        stratum = list(enumerate_stratum(rank, k))
-        assert len(stratum) == math.comb(rank, k)
-        assert len(set(stratum)) == len(stratum)
-        assert not seen & set(stratum)
-        seen |= set(stratum)
-    assert len(seen) == 1 << rank
-
-
-def test_enumerate_stratum_errors():
-    with pytest.raises(StratumRangeError):
-        list(enumerate_stratum(3, 4))
-    with pytest.raises(ValueError):
-        list(enumerate_stratum(3, 1, mode="bogus"))
 
 
 def test_triangular_basis_validation():

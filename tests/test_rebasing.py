@@ -8,6 +8,7 @@ from boolnorm import (
     GeneralBasis,
     InvalidIndexError,
     SequenceTooShortError,
+    TriangularBasis,
     UnusableSequenceError,
     WeightSpec,
     block_partition,
@@ -288,3 +289,132 @@ def test_check_witnesses_refuses_a_mask_outside_the_rows(flat_basis4, mask):
     assert len(built.rows) == 4
     with pytest.raises(InvalidIndexError):
         check_witnesses(built, basis, seq, [1, mask])
+
+
+def scalar_witness_failures(built, basis, seq, masks):
+    """check_witnesses as a per-mask loop: witness_nonvanishing against the
+    XOR of the selected rows."""
+    failures = 0
+    for mask in masks:
+        labels = [i for i in range(len(built.rows)) if mask >> i & 1]
+        total = 0
+        for label in labels:
+            total ^= built.rows[label]
+        failures += not total >> (witness_nonvanishing(labels, basis, seq) - 1) & 1
+    return failures
+
+
+@st.composite
+def sequences(draw):
+    """A rank 3..14, its identity basis and an approach sequence with random
+    top indices and odd-size terms."""
+    rank = draw(st.integers(min_value=3, max_value=14))
+    tops = draw(st.lists(st.integers(2, rank), min_size=2, max_size=rank - 1, unique=True))
+    tops.sort()
+    terms = [1 << (tops[0] - 1)]
+    for f in tops[1:]:
+        low = draw(st.integers(min_value=0, max_value=(1 << (f - 1)) - 1))
+        if low.bit_count() % 2:
+            low ^= 1 << draw(st.integers(0, f - 2))  # make the size odd
+        terms.append(1 << (f - 1) | low)
+    basis = reduce_basis(weighted_oracle(WeightSpec((1.0,) * rank)), rank)
+    return basis, ApproachSequence(tuple(terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequences(), st.data())
+def test_array_witnesses_match_the_per_mask_block_argument(instance, data):
+    from boolnorm import rebasing
+
+    basis, seq = instance
+    iters = f_iterates(seq, basis.rank)
+    if len(iters) < 2:
+        return
+    built = build_second_basis(basis, seq)
+    nrows = len(built.rows)
+    assert nrows == iters[-1]
+    # Block -1, then per block its top label alone (odd count) and with the
+    # label below it (even count when both are in the block), then random
+    # masks with repeats.
+    fixed = [1]
+    for lo, hi in zip(iters, iters[1:]):
+        fixed.append(1 << (hi - 1))
+        fixed.append(3 << (hi - 2) if hi - 2 >= lo else 1 << (hi - 1) | 1)
+    drawn = data.draw(st.lists(st.integers(1, (1 << nrows) - 1), max_size=80))
+    masks = fixed + drawn + drawn[: len(drawn) // 3]
+    got = rebasing._witness_letters(np.array(masks, dtype=np.int64), iters)
+    want = [
+        witness_nonvanishing([i for i in range(nrows) if m >> i & 1], basis, seq) for m in masks
+    ]
+    assert got.tolist() == want
+    if data.draw(st.booleans()):
+        # a corrupt row makes some witnesses absent from their sums
+        rows = list(built.rows)
+        rows[data.draw(st.integers(0, nrows - 1))] = data.draw(
+            st.integers(0, (1 << basis.rank) - 1)
+        )
+        built = GeneralBasis(tuple(rows))
+    failures = scalar_witness_failures(built, basis, seq, masks)
+    assert check_witnesses(built, basis, seq, masks) == (len(masks), failures)
+    assert check_witnesses(built, basis, seq, iter(masks)) == (len(masks), failures)
+
+
+@pytest.mark.parametrize("bad", [2.5, True, "3", 3.0])
+def test_check_witnesses_refuses_non_integer_masks(flat_basis4, bad):
+    basis, _ = flat_basis4
+    seq = seq4()
+    built = build_second_basis(basis, seq)
+    with pytest.raises(TypeError, match="index must be an integer"):
+        check_witnesses(built, basis, seq, [1, bad, 99])
+    assert check_witnesses(built, basis, seq, [np.int64(3), 5]) == (2, 0)
+
+
+def test_check_witnesses_refuses_in_mask_order(flat_basis4):
+    basis, _ = flat_basis4
+    seq = seq4()
+    built = build_second_basis(basis, seq)
+    assert check_witnesses(built, basis, seq, []) == (0, 0)
+    assert check_witnesses(built, basis, seq, iter(())) == (0, 0)
+    with pytest.raises(InvalidIndexError, match=r"^combination mask 16 out of range 1\.\.15$"):
+        check_witnesses(built, basis, seq, [3, 16, 2**70, 0])
+    with pytest.raises(InvalidIndexError, match=r"^combination mask 0 out of range 1\.\.15$"):
+        check_witnesses(built, basis, seq, [3, 0, 16])
+    # With a fifth row, labels 4 and 5 lie past the last block: the first
+    # mask selecting one raises witness_nonvanishing's error for it, and a
+    # mask out of range after it is not reached.
+    longer = GeneralBasis(built.rows + (0b1, 0b11))
+    for mask in (0b110001, 0b100011):
+        with pytest.raises(InvalidIndexError) as want:
+            witness_nonvanishing([i for i in range(6) if mask >> i & 1], basis, seq)
+        with pytest.raises(InvalidIndexError) as got:
+            check_witnesses(longer, basis, seq, [7, mask, 1 << 6, 0b010000])
+        assert str(got.value) == str(want.value)
+    assert str(got.value) == "row label 5 out of range 0..3"
+    with pytest.raises(InvalidIndexError, match="combination mask 64 out of range"):
+        check_witnesses(longer, basis, seq, [7, 64, 0b110001])
+    assert check_witnesses(longer, basis, seq, range(1, 16)) == (15, 0)
+
+
+def test_check_witnesses_refuses_a_sequence_no_block_fits(flat_basis4):
+    basis, _ = flat_basis4
+    short = TriangularBasis((0b1,))
+    seq = seq4()
+    built = build_second_basis(basis, seq)
+    assert check_witnesses(built, short, seq, []) == (0, 0)
+    with pytest.raises(InvalidIndexError, match="combination mask 0 out of range"):
+        check_witnesses(built, short, seq, [0, 1])
+    with pytest.raises(SequenceTooShortError):
+        witness_nonvanishing([0], short, seq)
+    with pytest.raises(SequenceTooShortError):
+        check_witnesses(built, short, seq, [1, 0])
+
+
+def test_check_witnesses_refuses_masks_wider_than_int64():
+    from boolnorm import RankTooLargeError
+
+    basis = TriangularBasis(tuple(1 << j for j in range(63)))
+    seq = ApproachSequence((0b10, 1 << 62 | 0b11))
+    assert f_iterates(seq, 63) == [1, 2, 63]
+    built = build_second_basis(basis, seq)
+    with pytest.raises(RankTooLargeError, match="at most 62 bits, not 63"):
+        check_witnesses(built, basis, seq, [1])

@@ -26,7 +26,32 @@ from boolnorm import (
 )
 from boolnorm.instances import random_base_table, random_norm, rng_from
 from boolnorm.norms import closure_norm
-from boolnorm.reduction import DEFAULT_SEARCH_BOUND, _argmin_exhaustive, search_bound
+from boolnorm.reduction import DEFAULT_SEARCH_BOUND, search_bound
+
+
+def argmin_exhaustive(oracle, offset, rows):
+    """Gray-code walk over all 2**k coset members, each step flipping one
+    row: (minimum, its norm, members evaluated) under (norm, lexicographic
+    support).  The reference that the dense search is tested against."""
+    best = offset
+    best_norm = oracle(offset)
+    best_support: tuple[int, ...] | None = None
+    cur = offset
+    evaluated = 1
+    call = oracle.__call__
+    for i in range(1, 1 << len(rows)):
+        cur ^= rows[(i & -i).bit_length() - 1]
+        v = call(cur)
+        evaluated += 1
+        if v < best_norm:
+            best, best_norm, best_support = cur, v, None
+        elif v == best_norm:
+            if best_support is None:
+                best_support = support(best)
+            s = support(cur)
+            if s < best_support:
+                best, best_support = cur, s
+    return best, best_norm, evaluated
 
 
 def brute_coset_min(oracle, offset, rows):
@@ -201,7 +226,7 @@ def gray_walk_report(oracle, rank):
     """Reference reduction: the scalar Gray-code walk for every row."""
     rows, records = [], []
     for k in range(1, rank + 1):
-        elem, norm, evaluated = _argmin_exhaustive(oracle, 1 << (k - 1), tuple(rows))
+        elem, norm, evaluated = argmin_exhaustive(oracle, 1 << (k - 1), tuple(rows))
         rows.append(elem)
         records.append(RowRecord(k, support(elem), norm, 1 << (k - 1), evaluated))
     return tuple(rows), records
@@ -262,7 +287,7 @@ def test_coset_argmin_matches_references_on_arbitrary_cosets(data):
     ):
         expect, _ = brute_coset_min(oracle, offset, coset.span_rows)
         assert coset_argmin(oracle, coset) == expect
-        assert _argmin_exhaustive(oracle, offset, coset.span_rows)[0] == expect
+        assert argmin_exhaustive(oracle, offset, coset.span_rows)[0] == expect
 
 
 @pytest.mark.parametrize("prune", [False, True])

@@ -1,0 +1,87 @@
+import inspect
+
+import boolnorm
+
+# Every public name the package exports, submodules aside (importing one,
+# as the CLI does, binds it on the package).  A change to the library surface
+# shows here as a diff: update this list on purpose, never to make it pass.
+PUBLIC_NAMES = [
+    "ApproachSequence",
+    "AxiomReport",
+    "AxiomViolation",
+    "BaseCostTable",
+    "BoolnormError",
+    "CosetSpec",
+    "DEFAULT_SEARCH_BOUND",
+    "EXHAUSTIVE_RANK_BOUND",
+    "Element",
+    "GeneralBasis",
+    "IndependenceResult",
+    "IndexOutOfRankError",
+    "InvalidIndexError",
+    "LEMMA_CHECKS",
+    "LemmaReport",
+    "MetricSpec",
+    "NanNormError",
+    "NormOracle",
+    "NotInSpanError",
+    "RELATIVE_TOLERANCE",
+    "RankTooLargeError",
+    "RowRecord",
+    "SearchBoundExceededError",
+    "SequenceTooShortError",
+    "StratumRangeError",
+    "TriangularBasis",
+    "UnusableSequenceError",
+    "Violation",
+    "WeightSpec",
+    "block_partition",
+    "build_second_basis",
+    "check_closedness",
+    "check_discreteness",
+    "check_geometric_bound",
+    "check_monotone_tail",
+    "check_norm_axioms",
+    "check_null_tail",
+    "check_witnesses",
+    "closure_norm",
+    "coordinate_norm",
+    "coset_argmin",
+    "element_from_coordinates",
+    "express_in_basis",
+    "f_iterates",
+    "from_support",
+    "gf2_rank",
+    "graev_norm",
+    "graev_oracle",
+    "min_separation",
+    "normalize_sequence",
+    "oracle_for",
+    "parse_norm_spec",
+    "reduce_basis",
+    "reduce_basis_report",
+    "reduce_word",
+    "restrict_oracle",
+    "run_checks",
+    "search_bound",
+    "separation_epsilon",
+    "separation_profile",
+    "span_elements",
+    "spec_to_json",
+    "support",
+    "table_norm",
+    "verify_independence",
+    "weighted_norm",
+    "weighted_oracle",
+    "witness_nonvanishing",
+    "worst_geometric_ratio",
+]
+
+
+def test_public_names_are_pinned():
+    names = [
+        name
+        for name, value in vars(boolnorm).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    ]
+    assert sorted(names) == PUBLIC_NAMES

@@ -611,11 +611,18 @@ def test_tolerance_zero_on_an_infinite_table_warns_of_nothing():
         got = exceeds(np.array([1.0, inf, 1.0, -inf]), np.array([-inf, 1.0, inf, 1.0]), tol=0.0)
         assert got.tolist() == [True] * 4
         assert exceeds(1.0, -inf) and exceeds(inf, 1.0, tol=0.0)
+        # a slack that carries the bound past the float range
+        top = np.finfo(float).max
+        assert not exceeds(top, top) and exceeds(top, -top, tol=-2.0)
+        assert not exceeds(np.array([top, 1.0]), np.array([top, top]), tol=2.0).any()
         report = check_discreteness(basis, oracle, tol=0.0)
     assert not report.passed and report.checked > 0
 
 
-def test_registry_builds_one_coordinate_view_per_stratum_check(monkeypatch):
+def test_registry_builds_one_coordinate_view_per_stratum_check(monkeypatch, tmp_path):
+    from boolnorm import cli, spec_to_json
+    from boolnorm.campaign import CHECK_NAMES, CampaignConfig, run_trial
+
     oracle, basis = next(conforming_instances(10, 1, 908))
     view, built = verification._coordinate_view, []
 
@@ -629,6 +636,18 @@ def test_registry_builds_one_coordinate_view_per_stratum_check(monkeypatch):
         report = verification.LEMMA_CHECKS[lemma](basis, oracle)
         assert report.checked > 0
         assert built == [10], lemma
+    # verify runs all five lemmas, and a campaign trial every check and the
+    # doubling ratio, over one view of its basis
+    spec, out = tmp_path / "spec.json", tmp_path / "out.json"
+    drawn, _ = random_norm(rng_from(908, 1), 6, "closure")
+    spec.write_text(json.dumps(spec_to_json(drawn)))
+    built.clear()
+    assert cli.main(["verify", "--norm", str(spec), "--rank", "6", "--out", str(out)]) == 0
+    assert built == [6]
+    assert set(json.loads(out.read_text())["checks"]) == set(verification.LEMMA_CHECKS)
+    built.clear()
+    row = run_trial(CampaignConfig(rank=6, trials=1, family="graev", checks=CHECK_NAMES), 0)
+    assert built == [6] and row["pass"] == "true"
 
 
 def test_stratum_checkers_pass_a_rank_zero_basis(norm_a):
@@ -667,3 +686,124 @@ def test_separation_epsilon_refuses_a_repeated_coordinate():
     for coords in ((1, 1), (2, 3, 2), (np.int64(4), 4)):
         with pytest.raises(ValueError, match=f"duplicate coordinate {int(coords[-1])}"):
             separation_epsilon(coords, basis, oracle)
+
+
+def reference_geometric_bound(basis, oracle, tol=1e-9):
+    """check_geometric_bound as a full scan: for each letter j, every word c
+    holding it, in one numpy pass per letter, violations sorted by (word,
+    depth).  One change from that scan as it first stood: a bound
+    2**k * vals[c] that overflows from a finite vals[c] is decided in exact
+    rational arithmetic instead of as an inf."""
+    from fractions import Fraction
+
+    from boolnorm import LemmaReport, Violation, span_elements, support
+    from boolnorm.norms import exceeds
+
+    r = len(basis.rows)
+    vals = oracle.values(span_elements(basis.rows))
+    row_norm = vals[1 << np.arange(r)]
+    pop = np.array([c.bit_count() for c in range(vals.size)])
+    masks = np.arange(vals.size)
+    found = []
+    for j in range(r):
+        c = masks.reshape(-1, 2, 1 << j)[:, 1, :].ravel()
+        k = pop[c >> (j + 1)]
+        with np.errstate(over="ignore"):
+            rhs = np.ldexp(vals[c], k)
+        bad = exceeds(row_norm[j], rhs, tol)
+        for i in np.flatnonzero(np.isinf(rhs) & np.isfinite(vals[c])).tolist():
+            if np.isfinite(row_norm[j]):
+                lhs = Fraction(float(row_norm[j]))
+                bound = Fraction(float(vals[c[i]])) * 2 ** int(k[i])
+                bad[i] = lhs > bound + Fraction(tol) * max(abs(lhs), abs(bound))
+        i = np.flatnonzero(bad)
+        found += zip(c[i].tolist(), k[i].tolist(), [j] * i.size, rhs[i].tolist())
+    found.sort()  # by word, then depth
+    violations = tuple(
+        Violation({"word": list(support(c)), "k": k}, float(row_norm[j]), rhs)
+        for c, k, j, rhs in found
+    )
+    return LemmaReport("L1", not violations, r * (vals.size // 2), violations)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_doubling_bound_matches_the_full_scan_reference(data):
+    """Finite tables at tol >= 0 take the scaled-word cut; NaN, inf,
+    subnormal row norms and tol < 0 take the full scan.  Both must report
+    what the full scan does, with 1e308 bounds that overflow decided
+    exactly."""
+    from boolnorm import TriangularBasis
+
+    tol = data.draw(st.sampled_from([0.0, 1e-9, 0.25, -1e-9, -0.5, -2.0]))
+    if data.draw(st.booleans()):
+        rank = data.draw(st.integers(min_value=1, max_value=8))
+        family = data.draw(st.sampled_from(("weighted", "graev", "closure")))
+        seed = data.draw(st.integers(min_value=0, max_value=10**6))
+        _, oracle = random_norm(rng_from(seed, rank), rank, family)
+        basis = reduce_basis(oracle, rank)
+    else:
+        rank = data.draw(st.integers(min_value=1, max_value=6))
+        nan, inf, tiny = float("nan"), float("inf"), np.finfo(float).tiny
+        value = st.one_of(
+            st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0, 1.0 + 1e-10, -1.0, -2.5]),
+            st.sampled_from([nan, inf, -inf]),
+            st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 1e-310]),
+            st.integers(min_value=1, max_value=8).map(lambda m: m * 5e-324),
+            st.integers(min_value=0, max_value=7).map(lambda e: math.ldexp(tiny, e)),
+            st.integers(min_value=-6, max_value=6).map(lambda e: 2.0**e),
+        )
+        size = (1 << rank) - 1
+        table = [0.0] + data.draw(st.lists(value, min_size=size, max_size=size))
+        rows = tuple(
+            data.draw(st.integers(min_value=0, max_value=(1 << j) - 1)) | 1 << j
+            for j in range(rank)
+        )
+        basis, oracle = TriangularBasis(rows), NormOracle(rank, table=table)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = check_geometric_bound(basis, oracle, tol=tol)
+        if tol == verification.RELATIVE_TOLERANCE:
+            reports, _ = verification.run_checks(basis, oracle, ["L1"])
+            assert json.dumps(reports["L1"].to_json()) == json.dumps(got.to_json())
+    want = reference_geometric_bound(basis, oracle, tol)
+    # NaN != NaN, so compare the JSON text
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+
+
+def test_doubling_bound_passes_where_the_bound_overflows():
+    """2**k * 1e308 overflows, but the doubling bound holds: no violation
+    and no RuntimeWarning, on the cut and on both full-scan paths."""
+    from boolnorm import TriangularBasis, check_norm_axioms
+
+    big, nan = 1e308, float("nan")
+    pair = (TriangularBasis((0b01, 0b10)), NormOracle(2, table=[0.0, big, big, big]))
+    assert check_norm_axioms(pair[1]).passed
+    rows3 = TriangularBasis((0b001, 0b010, 0b100))
+    subnormal_row = NormOracle(3, table=[0.0, big, big, big, 5e-324, big, big, big])
+    nan_row = NormOracle(3, table=[0.0, big, big, big, nan, big, big, big])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for basis, oracle in (pair, (rows3, subnormal_row)):
+            report = check_geometric_bound(basis, oracle)
+            assert report.passed and report.checked == len(basis.rows) << (len(basis.rows) - 1)
+            assert worst_geometric_ratio(basis, oracle) == 1.0
+        # only the NaN row norm of letter 3 fails; the overflowing bounds pass
+        report = check_geometric_bound(rows3, nan_row)
+    assert [v.witness for v in report.violations] == [
+        {"word": word, "k": 0} for word in ([3], [1, 3], [2, 3], [1, 2, 3])
+    ]
+
+
+def test_doubling_bound_scans_every_word_when_halving_rounds():
+    """Half of the subnormal row norm 5 * 2**-1074 rounds to 2 * 2**-1074,
+    the norm of {1, 2}, yet 5 * 2**-1074 > 2 * (2 * 2**-1074): a cut read
+    from the halved norms would miss this violation."""
+    from boolnorm import TriangularBasis
+
+    unit = 5e-324
+    oracle = NormOracle(2, table=[0.0, 5 * unit, 2 * unit, 2 * unit])
+    report = check_geometric_bound(TriangularBasis((0b01, 0b10)), oracle)
+    assert [(v.witness, v.lhs, v.rhs) for v in report.violations] == [
+        ({"word": [1, 2], "k": 1}, 5 * unit, 4 * unit)
+    ]
