@@ -49,9 +49,7 @@ from .norms import (
 )
 from .reduction import (
     DEFAULT_SEARCH_BOUND,
-    CosetSpec,
     RowRecord,
-    coset_argmin,
     reduce_basis,
     reduce_basis_report,
     search_bound,
@@ -59,7 +57,6 @@ from .reduction import (
 from .rebasing import (
     ApproachSequence,
     IndependenceResult,
-    block_partition,
     build_second_basis,
     check_witnesses,
     f_iterates,

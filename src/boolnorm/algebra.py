@@ -109,10 +109,6 @@ class GeneralBasis:
             if row < 0:
                 raise ValueError("rows must be nonnegative masks")
 
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
 
 Basis = Union[TriangularBasis, GeneralBasis]
 
@@ -175,9 +171,20 @@ def require_memory(nbytes: int, what: str) -> None:
         )
 
 
+def require_int64_masks(rows: Sequence[Element]) -> None:
+    """Refuse rows that an int64 element array cannot hold: it stores
+    generators 1..63 only."""
+    top = max(rows, default=0)
+    if top >> 63:
+        raise RankTooLargeError(
+            f"element arrays hold generators 1..63, a row reaches generator {top.bit_length()}"
+        )
+
+
 def span_elements(rows: Sequence[Element]) -> np.ndarray:
     """span[c] = sum of the rows selected by coordinate mask c, for every
     c < 2**len(rows), built by doubling: span[2^j : 2^(j+1)] = span[:2^j] + row j."""
+    require_int64_masks(rows)
     k = len(rows)
     require_memory(8 << k, f"the span of {k} rows")
     span = np.zeros(1 << k, dtype=np.int64)

@@ -11,6 +11,8 @@ import json
 import sys
 from typing import Mapping
 
+import numpy as np
+
 from .algebra import GeneralBasis, TriangularBasis, from_support, support
 from .campaign import CHECK_NAMES, CampaignConfig, run_campaign, write_csv
 from .errors import BoolnormError
@@ -163,7 +165,7 @@ def cmd_rebase(args) -> int:
         combo_masks = range(1, 1 << nrows)
     else:
         rng = rng_from(args.seed, nrows)
-        combo_masks = sorted({int(rng.integers(1, 1 << nrows)) for _ in range(4096)})
+        combo_masks = np.unique(rng.integers(1, 1 << nrows, size=4096)).tolist()
     checked, witness_failures = check_witnesses(built, basis, seq, combo_masks)
 
     profile = separation_profile(built, coordinate_norm(basis, oracle), seq)

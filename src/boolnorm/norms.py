@@ -468,19 +468,6 @@ class AxiomReport:
     pairs_checked: int
     violation: AxiomViolation | None = None
 
-    def to_json(self) -> dict:
-        out: dict = {"pass": self.passed, "pairs_checked": self.pairs_checked}
-        if self.violation is not None:
-            v = self.violation
-            out["violation"] = {
-                "axiom": v.axiom,
-                "g": list(v.g),
-                "h": None if v.h is None else list(v.h),
-                "lhs": v.lhs,
-                "rhs": v.rhs,
-            }
-        return out
-
 
 def check_norm_axioms(oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE) -> AxiomReport:
     """Exhaustive axiom check over the truncation: zero exactly at zero,

@@ -53,10 +53,6 @@ class ApproachSequence:
         if terms[0] != 1 << (terms[0].bit_length() - 1):
             raise ValueError("first term must be the single letter at its top index")
 
-    @property
-    def f_values(self) -> tuple[int, ...]:
-        return tuple(t.bit_length() for t in self.terms)
-
 
 def _fix_parity(term: int, basis: Basis, oracle: NormOracle) -> int | None:
     # Add one unused letter to make the size odd.  Prefer letters below the
@@ -158,26 +154,6 @@ def verify_independence(basis: GeneralBasis) -> IndependenceResult:
     return IndependenceResult(r == len(basis.rows), r)
 
 
-def block_partition(
-    combo: Iterable[int], basis: TriangularBasis, seq: ApproachSequence
-) -> dict[int, list[int]]:
-    """Partition of row labels by block: key -1 holds label 0, key k holds
-    labels in [f^k(1), f^{k+1}(1) - 1]."""
-    iters = f_iterates(seq, basis.rank)
-    if len(iters) < 2:
-        raise SequenceTooShortError("no block fits: the first top index already exceeds rank")
-    nrows = iters[-1]
-    blocks: dict[int, list[int]] = {}
-    for label in sorted(set(_index(i) for i in combo)):
-        if not 0 <= label < nrows:
-            raise InvalidIndexError(f"row label {label} out of range 0..{nrows - 1}")
-        key = -1 if label == 0 else bisect_right(iters, label) - 1
-        blocks.setdefault(key, []).append(label)
-    if not blocks:
-        raise InvalidIndexError("combination must be nonempty")
-    return blocks
-
-
 def witness_nonvanishing(
     combo: Iterable[int], basis: TriangularBasis, seq: ApproachSequence
 ) -> int:
@@ -186,17 +162,27 @@ def witness_nonvanishing(
 
     The top block either has even size, in which case its driving terms
     cancel and the largest selected label survives, or odd size, in which
-    case one driving term survives and contributes its own top index.  A
-    combination inside block -1 is row 0, i.e. the first letter.
+    case one driving term survives and contributes its own top index.
+    Label 0 is block -1 (row 0, the first letter), and block k holds the
+    labels [f^k(1), f^{k+1}(1)).  This is the per-combination reference
+    that check_witnesses computes for many masks at once.
     """
-    blocks = block_partition(combo, basis, seq)
-    m = max(blocks)
-    if m == -1:
-        return 1
-    top_block = blocks[m]
-    if len(top_block) % 2 == 0:
-        return max(label for labels in blocks.values() for label in labels)
     iters = f_iterates(seq, basis.rank)
+    if len(iters) < 2:
+        raise SequenceTooShortError("no block fits: the first top index already exceeds rank")
+    nrows = iters[-1]
+    labels = {_index(i) for i in combo}
+    bad = [label for label in labels if not 0 <= label < nrows]
+    if bad:
+        raise InvalidIndexError(f"row label {min(bad)} out of range 0..{nrows - 1}")
+    if not labels:
+        raise InvalidIndexError("combination must be nonempty")
+    top = max(labels)
+    if top == 0:
+        return 1
+    m = bisect_right(iters, top) - 1  # the top block holds the top label
+    if sum(label >= iters[m] for label in labels) % 2 == 0:
+        return top
     return iters[m + 1]
 
 

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .algebra import Element, TriangularBasis, gf2_rank, require_memory, span_elements, support
+from .algebra import Element, TriangularBasis, require_memory, support
 from .errors import NanNormError, SearchBoundExceededError
 from .norms import NormOracle, restrict_oracle
 
@@ -34,24 +33,6 @@ def search_bound() -> int:
 
 
 @dataclass(frozen=True)
-class CosetSpec:
-    """Coset offset + span(span_rows); the rows must be independent, so the
-    coset has exactly 2**len(span_rows) members."""
-
-    offset: Element
-    span_rows: tuple[Element, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "span_rows", tuple(self.span_rows))
-        if gf2_rank(self.span_rows) != len(self.span_rows):
-            raise ValueError("span rows must be linearly independent")
-
-    @property
-    def size(self) -> int:
-        return 1 << len(self.span_rows)
-
-
-@dataclass(frozen=True)
 class RowRecord:
     """Per-row search statistics emitted by reduce_basis_report."""
 
@@ -60,14 +41,6 @@ class RowRecord:
     norm: float
     coset_size: int
     candidates_evaluated: int
-
-
-def _reject_nan(values: np.ndarray, members: Sequence[Element]) -> None:
-    # NaN compares false both ways, so no search order could rank it.
-    nan = np.isnan(values)
-    if nan.any():
-        g = int(members[int(np.argmax(nan))])
-        raise NanNormError(f"norm of {support(g)} is NaN; the coset minimum is undefined")
 
 
 def _argmin_dense(members: np.ndarray, values: np.ndarray) -> tuple[Element, float]:
@@ -113,19 +86,6 @@ def _argmin_pruned(
     return min(ties, key=support), best_norm, evaluated
 
 
-def coset_argmin(oracle: NormOracle, coset: CosetSpec) -> Element:
-    """Unique cheapest element of the coset under (norm, support) order."""
-    limit = search_bound()
-    if len(coset.span_rows) > limit:
-        raise SearchBoundExceededError(
-            f"coset spans {len(coset.span_rows)} rows, search bound is {limit}"
-        )
-    members = span_elements(coset.span_rows) ^ coset.offset
-    values = oracle.values(members)
-    _reject_nan(values, members)
-    return _argmin_dense(members, values)[0]
-
-
 def reduce_basis_report(
     oracle: NormOracle, rank: int, *, prune: bool = False
 ) -> tuple[TriangularBasis, list[RowRecord]]:
@@ -146,8 +106,12 @@ def reduce_basis_report(
         raise SearchBoundExceededError(f"rank {rank} exceeds search bound {limit}")
     table = restrict_oracle(oracle, rank).table()
     # The row cosets partition the nonzero masks, so both searches read
-    # every entry but the zero element's.
-    _reject_nan(table[1:], range(1, table.size))
+    # every entry but the zero element's; NaN compares false both ways, so
+    # no search order could rank it.
+    nan = np.flatnonzero(np.isnan(table[1:]))
+    if nan.size:
+        g = int(nan[0]) + 1
+        raise NanNormError(f"norm of {support(g)} is NaN; the coset minimum is undefined")
     if not prune:
         # span[c] = sum of the rows selected by c, doubled as rows arrive.
         require_memory(8 << (rank - 1), f"the span of {rank - 1} rows")

@@ -12,7 +12,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .algebra import Basis, _index, span_elements, support
+from .algebra import Basis, _index, require_int64_masks, span_elements, support
 from .errors import RankTooLargeError, StratumRangeError
 from .norms import EXHAUSTIVE_RANK_BOUND, RELATIVE_TOLERANCE, NormOracle, exceeds
 
@@ -284,7 +284,9 @@ def check_null_tail(
         if not 1 <= i <= len(rows):
             raise ValueError(f"index {i} out of range 1..{len(rows)}")
     a, b = np.triu_indices(len(idx), 1)
-    sel = np.array([rows[i - 1] for i in idx], dtype=np.int64)
+    picked = [rows[i - 1] for i in idx]
+    require_int64_masks(picked)
+    sel = np.array(picked, dtype=np.int64)
     lhs = oracle.values(sel[b])
     rhs = oracle.values(sel[a] ^ sel[b])
     violations = tuple(

@@ -108,6 +108,25 @@ def test_rebase_example(tmp_path):
     assert payload["separation"]["pair_count"] == 6
 
 
+@pytest.mark.parametrize("seed", [0, 7])
+def test_rebase_samples_witness_masks_above_12_rows(tmp_path, seed):
+    from boolnorm.instances import rng_from
+
+    norm = write_json(tmp_path / "w13.json", {"kind": "weighted", "weights": [1.0] * 13})
+    terms = [[2]] + [[1, k, k + 1] for k in range(2, 13)]
+    seq = write_json(tmp_path / "seq.json", terms)
+    out = tmp_path / "rebase.json"
+    args = ["rebase", "--norm", norm, "--seq", seq, "--seed", str(seed), "--out", str(out)]
+    assert main(args) == 0
+    payload = read_json(out)
+    assert len(payload["rows"]) == 13
+    # 4096 draws of one mask each, duplicates counted once
+    rng = rng_from(seed, 13)
+    drawn = {int(rng.integers(1, 1 << 13)) for _ in range(4096)}
+    assert payload["witnesses_checked"] == len(drawn) < 4096
+    assert payload["witness_failures"] == 0
+
+
 def test_rebase_unusable_sequence(tmp_path):
     norm = write_json(
         tmp_path / "w4.json", {"kind": "weighted", "weights": [1.0, 1.0, 1.0, 1.0]}
@@ -220,6 +239,18 @@ def test_verify_basis_rows_at_high_generators_of_a_large_spec(tmp_path):
     assert main(args) == 0
     assert read_json(report)["basis"] == [[1], [2], [40]]
     assert read_json(report)["pass"] is True
+
+
+@pytest.mark.parametrize("checks", ["L4", "L0iii"])
+def test_verify_refuses_basis_rows_above_generator_63(tmp_path, capsys, checks):
+    norm = write_json(tmp_path / "w64.json", {"kind": "weighted", "weights": [1.0] * 64})
+    at_63 = write_json(tmp_path / "b63.json", [[63]])
+    assert main(["verify", "--norm", norm, "--basis", at_63, "--checks", checks]) == 0
+    capsys.readouterr()
+    at_64 = write_json(tmp_path / "b64.json", [[64]])
+    assert main(["verify", "--norm", norm, "--basis", at_64, "--checks", checks]) == 2
+    err = capsys.readouterr().err
+    assert "error[rank-too-large]" in err and "generator 64" in err
 
 
 @pytest.mark.parametrize("bad", [1.9, True])

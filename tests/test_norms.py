@@ -370,6 +370,14 @@ def test_coordinate_norm_composes(norm_a, norm_a_basis):
     assert check_norm_axioms(comp).passed
 
 
+def test_coordinate_norm_refuses_rows_above_generator_63():
+    # an int64 element array holds generators 1..63
+    oracle = weighted_oracle(WeightSpec(tuple(float(i) for i in range(1, 65))))
+    assert coordinate_norm(GeneralBasis((1 << 62,)), oracle)(1) == 63.0
+    with pytest.raises(RankTooLargeError, match="generators 1..63, a row reaches generator 64"):
+        coordinate_norm(GeneralBasis((1, 1 << 63 | 1)), oracle)
+
+
 def test_norm_spec_json_round_trip():
     specs = [
         WeightSpec((1.0, 2.5)),

@@ -1,3 +1,5 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,13 @@ from hypothesis import strategies as st
 
 from boolnorm import (
     ApproachSequence,
+    BoolnormError,
     GeneralBasis,
     InvalidIndexError,
     SequenceTooShortError,
     TriangularBasis,
     UnusableSequenceError,
     WeightSpec,
-    block_partition,
     build_second_basis,
     check_witnesses,
     coordinate_norm,
@@ -25,6 +27,7 @@ from boolnorm import (
     weighted_oracle,
     witness_nonvanishing,
 )
+from boolnorm.algebra import _index
 from boolnorm.instances import random_norm, random_sequence, rng_from
 
 
@@ -43,7 +46,7 @@ def seq4():
 
 def test_approach_sequence_invariants():
     seq = seq4()
-    assert seq.f_values == (2, 3, 4)
+    assert [t.bit_length() for t in seq.terms] == [2, 3, 4]
     with pytest.raises(ValueError):
         ApproachSequence(())
     with pytest.raises(ValueError):
@@ -63,13 +66,15 @@ def test_non_integer_terms_and_labels_are_refused(flat_basis4):
     with pytest.raises(TypeError):
         normalize_sequence([2.9, 12.5], basis, oracle)
     with pytest.raises(TypeError):
-        block_partition([1.7, True], basis, seq4())
+        witness_nonvanishing([1.7, True], basis, seq4())
     # numpy integers are integers
     terms = np.array(seq4().terms)
     seq = ApproachSequence(tuple(terms))
     assert seq == seq4() and all(type(t) is int for t in seq.terms)
     assert normalize_sequence(list(terms), basis, oracle) == seq4()
-    assert block_partition(np.arange(4), basis, seq) == block_partition(range(4), basis, seq)
+    assert witness_nonvanishing(np.arange(4), basis, seq) == witness_nonvanishing(
+        range(4), basis, seq
+    )
 
 
 def test_normalize_keeps_valid_sequences(flat_basis4):
@@ -189,16 +194,6 @@ def test_witness_examples(flat_basis4):
         witness_nonvanishing([], basis, seq)
     with pytest.raises(InvalidIndexError):
         witness_nonvanishing([4], basis, seq)
-
-
-def test_block_partition_covers_each_label_once(flat_basis4):
-    basis, _ = flat_basis4
-    seq = seq4()
-    combo = [0, 1, 2, 3]
-    blocks = block_partition(combo, basis, seq)
-    labels = sorted(l for labels in blocks.values() for l in labels)
-    assert labels == combo
-    assert set(blocks) == {-1, 0, 1, 2}
 
 
 def test_max_of_driving_terms(flat_basis4):
@@ -418,3 +413,53 @@ def test_check_witnesses_refuses_masks_wider_than_int64():
     built = build_second_basis(basis, seq)
     with pytest.raises(RankTooLargeError, match="at most 62 bits, not 63"):
         check_witnesses(built, basis, seq, [1])
+
+
+def reference_witness(combo, basis, seq):
+    """witness_nonvanishing in two steps: partition the sorted labels by
+    block (key -1 holds label 0), then the case analysis on the top block."""
+    iters = f_iterates(seq, basis.rank)
+    if len(iters) < 2:
+        raise SequenceTooShortError("no block fits: the first top index already exceeds rank")
+    nrows = iters[-1]
+    blocks = {}
+    for label in sorted(set(_index(i) for i in combo)):
+        if not 0 <= label < nrows:
+            raise InvalidIndexError(f"row label {label} out of range 0..{nrows - 1}")
+        key = -1 if label == 0 else bisect_right(iters, label) - 1
+        blocks.setdefault(key, []).append(label)
+    if not blocks:
+        raise InvalidIndexError("combination must be nonempty")
+    m = max(blocks)
+    if m == -1:
+        return 1
+    if len(blocks[m]) % 2 == 0:
+        return max(label for labels in blocks.values() for label in labels)
+    return iters[m + 1]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (TypeError, BoolnormError) as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sequences(), st.data())
+def test_witness_nonvanishing_matches_the_block_partition_reference(instance, data):
+    basis, seq = instance
+    # a shorter basis moves the last block, or leaves no block at all
+    rank = data.draw(st.just(basis.rank) | st.integers(1, basis.rank))
+    basis = TriangularBasis(basis.rows[:rank])
+    nrows = f_iterates(seq, rank)[-1]
+    kind = data.draw(st.sampled_from(["rows", "labels", "any"]))
+    if kind == "rows":  # labels of existing rows only: the letter is returned
+        combo = data.draw(st.lists(st.integers(0, nrows - 1), min_size=1, max_size=2 * nrows))
+    else:
+        label = st.integers(-3, nrows + 2)
+        odd = st.sampled_from([1.5, True, "2", None, 2.0, np.int64(1)])
+        combo = data.draw(st.lists(label if kind == "labels" else label | odd, max_size=8))
+    want = outcome(reference_witness, combo, basis, seq)
+    assert outcome(witness_nonvanishing, combo, basis, seq) == want
+    assert outcome(witness_nonvanishing, iter(combo), basis, seq) == want

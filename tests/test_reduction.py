@@ -8,25 +8,23 @@ from hypothesis import strategies as st
 
 from boolnorm import (
     BaseCostTable,
-    CosetSpec,
     NanNormError,
     NormOracle,
     RankTooLargeError,
     RowRecord,
     SearchBoundExceededError,
     WeightSpec,
-    coset_argmin,
-    from_support,
     gf2_rank,
     reduce_basis,
     reduce_basis_report,
+    span_elements,
     support,
     table_norm,
     weighted_oracle,
 )
 from boolnorm.instances import random_base_table, random_norm, rng_from
 from boolnorm.norms import closure_norm
-from boolnorm.reduction import DEFAULT_SEARCH_BOUND, search_bound
+from boolnorm.reduction import DEFAULT_SEARCH_BOUND, _argmin_dense, search_bound
 
 
 def argmin_exhaustive(oracle, offset, rows):
@@ -69,20 +67,6 @@ def brute_coset_min(oracle, offset, rows):
                 best = key
                 best_elem = g
     return best_elem, best[0]
-
-
-def test_coset_argmin_examples(norm_a):
-    coset = CosetSpec(from_support([2]), (from_support([1]),))
-    assert coset_argmin(norm_a, coset) == from_support([1, 2])
-    assert coset_argmin(norm_a, CosetSpec(from_support([1]), ())) == from_support([1])
-    w = weighted_oracle(WeightSpec((1.0, 1.0, 1.0)))
-    coset = CosetSpec(from_support([3]), (from_support([1]), from_support([2])))
-    assert coset_argmin(w, coset) == from_support([3])
-
-
-def test_coset_spec_requires_independent_rows():
-    with pytest.raises(ValueError):
-        CosetSpec(0, (0b01, 0b10, 0b11))
 
 
 def test_reduce_basis_norm_a(norm_a):
@@ -147,9 +131,6 @@ def test_search_bound_enforced(norm_a, monkeypatch):
     monkeypatch.setenv("BOOLNORM_SEARCH_BOUND", "1")
     with pytest.raises(SearchBoundExceededError):
         reduce_basis(norm_a, 2)
-    coset = CosetSpec(from_support([3]), (from_support([1]), from_support([2])))
-    with pytest.raises(SearchBoundExceededError):
-        coset_argmin(norm_a, coset)
 
 
 @pytest.mark.parametrize("override", [0, -3])
@@ -159,8 +140,6 @@ def test_search_bound_override_below_one_is_refused(override, norm_a, monkeypatc
         search_bound()
     with pytest.raises(ValueError):
         reduce_basis(norm_a, 2)
-    with pytest.raises(ValueError):
-        coset_argmin(norm_a, CosetSpec(from_support([2]), (from_support([1]),)))
 
 
 def test_search_bound_env_override(monkeypatch, norm_a):
@@ -271,7 +250,9 @@ def test_dense_gray_and_pruned_agree_on_tie_heavy_norms(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_coset_argmin_matches_references_on_arbitrary_cosets(data):
+def test_argmin_dense_matches_references_on_arbitrary_cosets(data):
+    # cosets of any offset by any independent rows, not only the triangular
+    # ones reduce walks: the dense argmin and its tie-break on its own
     rank = data.draw(st.integers(min_value=1, max_value=6))
     costs = tie_heavy_table(data, rank, [1.0, 2.0, 3.0])
     candidates = data.draw(st.lists(st.integers(1, (1 << rank) - 1), max_size=rank))
@@ -280,14 +261,14 @@ def test_coset_argmin_matches_references_on_arbitrary_cosets(data):
         if gf2_rank(span_rows + [row]) > len(span_rows):
             span_rows.append(row)
     offset = data.draw(st.integers(0, (1 << rank) - 1))
-    coset = CosetSpec(offset, tuple(span_rows))
+    members = span_elements(span_rows) ^ offset
     for oracle in (
         NormOracle(rank, table=costs),
         closure_norm(BaseCostTable(rank, tuple(costs.tolist()))),
     ):
-        expect, _ = brute_coset_min(oracle, offset, coset.span_rows)
-        assert coset_argmin(oracle, coset) == expect
-        assert argmin_exhaustive(oracle, offset, coset.span_rows)[0] == expect
+        expect, expect_norm = brute_coset_min(oracle, offset, span_rows)
+        assert _argmin_dense(members, oracle.values(members)) == (expect, expect_norm)
+        assert argmin_exhaustive(oracle, offset, span_rows)[:2] == (expect, expect_norm)
 
 
 @pytest.mark.parametrize("prune", [False, True])
@@ -295,10 +276,11 @@ def test_nan_in_the_searched_table_raises(prune):
     oracle = NormOracle(2, table=np.array([0.0, 1.0, float("nan"), 2.0]))
     with pytest.raises(NanNormError, match=r"norm of \(2,\)"):
         reduce_basis(oracle, 2, prune=prune)
-    with pytest.raises(NanNormError):
-        coset_argmin(oracle, CosetSpec(0b10, (0b01,)))
-    # a NaN outside the coset leaves that search well defined
-    assert coset_argmin(oracle, CosetSpec(0b01, ())) == 0b01
+    # the first NaN in mask order is named
+    both = NormOracle(2, table=np.array([0.0, 1.0, float("nan"), float("nan")]))
+    message = r"^norm of \(2,\) is NaN; the coset minimum is undefined$"
+    with pytest.raises(NanNormError, match=message):
+        reduce_basis(both, 2, prune=prune)
     # no coset holds the zero element, so a NaN there is never searched
     zero_nan = NormOracle(2, table=np.array([float("nan"), 1.0, 1.0, 2.0]))
     assert reduce_basis(zero_nan, 2, prune=prune).rows == (0b01, 0b10)
