@@ -8,6 +8,7 @@ index, so results do not depend on the worker count.
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO
@@ -43,7 +44,7 @@ class CampaignConfig:
     trials: int
     family: str = "closure"
     norm: NormOracle | None = None
-    checks: tuple[str, ...] = tuple(LEMMA_CHECKS)
+    checks: tuple[str, ...] = LEMMA_CHECKS
     seed: int = 0
     threads: int = 1
 
@@ -72,9 +73,7 @@ class CampaignConfig:
             raise ValueError("the rebase check needs rank >= 3")
 
 
-def _fmt_bool(value: bool | None) -> str:
-    if value is None:
-        return ""
+def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
@@ -128,11 +127,13 @@ def run_trial(cfg: CampaignConfig, trial: int) -> dict:
 
 
 def run_campaign(cfg: CampaignConfig) -> tuple[list[dict], dict]:
-    """All trial rows in trial order plus an aggregate summary."""
-    if cfg.threads == 1:
+    """All trial rows in trial order plus an aggregate summary.  The pool
+    holds at most one worker per trial and per CPU."""
+    workers = min(cfg.threads, cfg.trials, os.cpu_count() or 1)
+    if workers == 1:
         rows = [run_trial(cfg, t) for t in range(cfg.trials)]
     else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(lambda t: run_trial(cfg, t), range(cfg.trials)))
     failures = sum(1 for r in rows if r["pass"] != "true")
     summary = {

@@ -7,6 +7,7 @@ Exit codes: 0 = all requested checks pass, 1 = a mathematical check failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import Mapping
@@ -112,16 +113,7 @@ def cmd_reduce(args) -> int:
         "rank": rank,
         "norm_kind": oracle.kind,
         "basis": [list(support(row)) for row in basis.rows],
-        "rows": [
-            {
-                "index": rec.index,
-                "support": list(rec.support),
-                "norm": rec.norm,
-                "coset_size": rec.coset_size,
-                "candidates_evaluated": rec.candidates_evaluated,
-            }
-            for rec in records
-        ],
+        "rows": [dataclasses.asdict(rec) for rec in records],
     }
     _emit_json(payload, args.out)
     return 0

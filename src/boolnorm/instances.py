@@ -62,13 +62,11 @@ def random_base_table(rng: np.random.Generator, rank: int) -> BaseCostTable:
     return BaseCostTable(rank, costs)
 
 
-# Norm family -> spec drawer; the keys are the families in CLI order.  The
-# entries look the drawers up when they run, so a drawer replaced on this
-# module (as perfbench's tracer does) is the one called.
+# Norm family -> spec drawer; the keys are the families in CLI order.
 _SPEC_DRAWERS = {
-    "weighted": lambda rng, rank: random_weight_spec(rng, rank),
-    "graev": lambda rng, rank: random_metric_spec(rng, rank),
-    "closure": lambda rng, rank: random_base_table(rng, rank),
+    "weighted": random_weight_spec,
+    "graev": random_metric_spec,
+    "closure": random_base_table,
 }
 NORM_FAMILIES = tuple(_SPEC_DRAWERS)
 

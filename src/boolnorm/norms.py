@@ -9,6 +9,7 @@ vectorized recurrences.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -26,7 +27,10 @@ def exceeds(lhs, rhs, tol: float = RELATIVE_TOLERANCE):
     """lhs > rhs beyond relative slack tol, for scalars or elementwise.
 
     A NaN or infinite value on either side always exceeds: a bound that
-    cannot be evaluated is a violation, never a pass."""
+    cannot be evaluated is a violation, never a pass.  A NaN tol raises
+    ValueError, as no lhs would exceed a bound with NaN slack."""
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     big = np.maximum(np.abs(lhs), np.abs(rhs))
     # rhs + tol * big lies within big * (1 + |tol|), so below this limit it
     # is finite (a NaN or inf big fails the test).  errstate stays off this
@@ -245,25 +249,20 @@ class NormOracle:
                     arr = self._array = np.asarray(self._build(m), dtype=float)
         return arr[: 1 << m]
 
-    def _builds_prefix(self, m: int, count: int) -> bool:
-        return 1 << m <= max(self.DENSE_QUERY_FLOOR, 4 * count)
-
     def __call__(self, g: Element) -> float:
         arr = self._array
         if arr is not None and 0 <= g < arr.size:
             return arr.item(g)
-        _require_in_rank(g, self.rank)
-        m = int(g).bit_length()
-        if self._builds_prefix(m, 1):
-            return self._prefix(m).item(g)
-        return float(self._fn(int(g)))
+        return self.values(g).item()
 
     def table(self) -> np.ndarray:
         """All 2**rank values indexed by element mask (built on demand)."""
         return self._prefix(self.rank)
 
     def values(self, masks: np.ndarray) -> np.ndarray:
-        """Vectorized lookup for an array of element masks."""
+        """Vectorized lookup for an array of element masks; the one path
+        that decides, for masks beyond the built table, between building
+        the prefix they need and evaluating them one by one."""
         masks = np.asarray(masks)
         if masks.size == 0:
             return np.empty(masks.shape, dtype=float)
@@ -274,7 +273,7 @@ class NormOracle:
         if arr is not None and top < arr.size:
             return arr[masks]
         m = top.bit_length()
-        if self._builds_prefix(m, masks.size):
+        if 1 << m <= max(self.DENSE_QUERY_FLOOR, 4 * masks.size):
             return self._prefix(m)[masks]
         fn = self._fn
         return np.fromiter(

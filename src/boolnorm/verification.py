@@ -8,7 +8,7 @@ the same code paths as conforming instances.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -43,14 +43,25 @@ class LemmaReport:
         }
 
 
-def _coordinate_view(
-    basis: Basis, oracle: NormOracle
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Tables over the coordinate masks c < 2**r of the basis: vals[c] is
-    the norm of the element c selects, pop[c] its reduced length and low[c]
-    its cheapest letter norm (inf at c = 0); row_norm[j] = vals[2**j].
-    Built by the doubling of span_elements: the masks in [2^j, 2^(j+1))
-    are those below 2^j plus letter j."""
+class _View(NamedTuple):
+    """Tables over the coordinate masks c < 2**r of a basis: vals[c] is the
+    norm of the element c selects, pop[c] its reduced length, low[c] its
+    cheapest letter norm (inf at c = 0) and scaled[c] the largest of
+    row_norm[j] / 2**k over its letters j, k the depth of j in c (the
+    letters of c above j; -inf at c = 0); row_norm[j] = vals[2**j]."""
+
+    vals: np.ndarray
+    row_norm: np.ndarray
+    pop: np.ndarray
+    low: np.ndarray
+    scaled: np.ndarray
+
+
+def _coordinate_view(basis: Basis, oracle: NormOracle) -> _View:
+    """Built by the doubling of span_elements: the masks in [2^j, 2^(j+1))
+    are those below 2^j plus letter j, which sits on top at depth 0 while
+    each lower letter sits one deeper.  Halving is exact above the
+    subnormal range."""
     r = len(basis.rows)
     if r > EXHAUSTIVE_RANK_BOUND:
         raise RankTooLargeError(
@@ -60,27 +71,17 @@ def _coordinate_view(
     row_norm = vals[1 << np.arange(r)]
     pop = np.zeros(vals.size, dtype=np.int16)
     low = np.full(vals.size, np.inf)
+    scaled = np.empty(vals.size)
+    scaled[0] = -np.inf
     for j in range(r):
         pop[1 << j : 2 << j] = pop[: 1 << j] + 1
         np.minimum(low[: 1 << j], row_norm[j], out=low[1 << j : 2 << j])
-    return vals, row_norm, pop, low
-
-
-def _scaled_letters(row_norm: np.ndarray) -> np.ndarray:
-    """scaled[c] = max over the letters j of c of row_norm[j] / 2**k, k the
-    depth of j in c (the letters of c above j); -inf at c = 0.  The masks in
-    [2^j, 2^(j+1)) have top letter j at depth 0, and each letter below it
-    sits one deeper than in c - 2^j.  Halving is exact above the subnormal
-    range."""
-    scaled = np.empty(1 << row_norm.size)
-    scaled[0] = -np.inf
-    for j in range(row_norm.size):
         np.maximum(scaled[: 1 << j] * 0.5, row_norm[j], out=scaled[1 << j : 2 << j])
-    return scaled
+    return _View(vals, row_norm, pop, low, scaled)
 
 
-def _tail_report(view: tuple, tol: float) -> LemmaReport:
-    vals, row_norm, _, _ = view
+def _tail_report(view: _View, tol: float) -> LemmaReport:
+    vals, row_norm, *_ = view
     # The 2^j masks in [2^j, 2^(j+1)) are the sets whose top letter is j.
     lhs = np.repeat(row_norm, 1 << np.arange(row_norm.size))
     rhs = vals[1:]
@@ -91,7 +92,7 @@ def _tail_report(view: tuple, tol: float) -> LemmaReport:
     return LemmaReport("L0iii", not violations, rhs.size, violations)
 
 
-def _doubling_report(view: tuple, scaled: np.ndarray, tol: float) -> LemmaReport:
+def _doubling_report(view: _View, tol: float) -> LemmaReport:
     """L1 over the pairs (word c, letter j of c), with rhs = 2**k * vals[c],
     k the depth of j in c; scaling by a power of two is exact.
 
@@ -100,7 +101,7 @@ def _doubling_report(view: tuple, scaled: np.ndarray, tol: float) -> LemmaReport
     halves each row norm up to r times, which is exact unless a nonzero row
     norm is below 2**r times the smallest normal float; such a table, a NaN
     or inf, or tol < 0 scans every word.  `checked` counts every pair."""
-    vals, row_norm, pop, _ = view
+    vals, row_norm, pop, _, scaled = view
     r = row_norm.size
     words = np.arange(vals.size)
     small = np.abs(row_norm) < np.ldexp(np.finfo(float).tiny, r)
@@ -136,15 +137,17 @@ def _doubling_report(view: tuple, scaled: np.ndarray, tol: float) -> LemmaReport
     return LemmaReport("L1", not violations, r * (vals.size // 2), violations)
 
 
-def _ratio(view: tuple, scaled: np.ndarray) -> float:
-    vals, row_norm, pop, _ = view
+def _ratio(view: _View) -> float:
+    vals, row_norm, pop, _, scaled = view
     if row_norm.size < 2:
         return 0.0
     long = pop >= 2
     if not np.isfinite(vals[1:]).all() or (vals[long] <= 0.0).any():
         return float("inf")
-    # Dividing by a positive word norm keeps the maximum.
-    return max(0.0, float((scaled[long] / vals[long]).max()))
+    # Dividing by a positive word norm keeps the maximum; a quotient past
+    # the float range is the inf it rounds to.
+    with np.errstate(over="ignore"):
+        return max(0.0, float((scaled[long] / vals[long]).max()))
 
 
 def check_monotone_tail(
@@ -161,8 +164,7 @@ def check_geometric_bound(
     """Doubling bound: in any reduced word, the k-th letter from the top
     costs at most 2**k times the word.  A bound 2**k times a finite norm
     beyond the float range is compared as if that range were unbounded."""
-    view = _coordinate_view(basis, oracle)
-    return _doubling_report(view, _scaled_letters(view[1]), tol)
+    return _doubling_report(_coordinate_view(basis, oracle), tol)
 
 
 def worst_geometric_ratio(basis: Basis, oracle: NormOracle) -> float:
@@ -171,8 +173,7 @@ def worst_geometric_ratio(basis: Basis, oracle: NormOracle) -> float:
     there.  Single letters are skipped because their depth-0 case is an
     exact identity.  A non-finite norm, or a word norm <= 0, makes the
     ratio inf."""
-    view = _coordinate_view(basis, oracle)
-    return _ratio(view, _scaled_letters(view[1]))
+    return _ratio(_coordinate_view(basis, oracle))
 
 
 def separation_epsilon(coord_set: Iterable[int], basis: Basis, oracle: NormOracle) -> float:
@@ -200,7 +201,7 @@ def min_separation(basis: Basis, oracle: NormOracle) -> float:
     return float(np.min([oracle(row) for row in rows])) / float(4 ** len(rows))
 
 
-def _stratum_report(lemma: str, view: tuple, n: int | None, tol: float) -> LemmaReport:
+def _stratum_report(lemma: str, view: _View, n: int | None, tol: float) -> LemmaReport:
     """Separation of every word of reduced length n (of every length when n
     is None, strata in increasing order) from its partners: the other words
     of its stratum for L2, every strictly shorter word for L3.  Each pair
@@ -211,7 +212,7 @@ def _stratum_report(lemma: str, view: tuple, n: int | None, tol: float) -> Lemma
     eps > d + tol * max(|eps|, |d|) >= d >= m0, so a word whose radius is
     at most m0 is cleared without a pair scan; `checked` still counts every
     pair covered.  A NaN or inf value, or tol < 0, scans every word."""
-    vals, row_norm, pop, low = view
+    vals, row_norm, pop, low, _ = view
     rank = row_norm.size
     strata: Iterable[int] = range(rank + 1)
     if n is not None:
@@ -296,15 +297,16 @@ def check_null_tail(
     return LemmaReport("L4", not violations, a.size, violations)
 
 
-# Lemma name -> check of every case the lemma covers for a basis under a
-# norm.  The entries look the public checkers up when they run, so a checker
-# replaced on this module (as perfbench's tracer does) is the one called.
-LEMMA_CHECKS: dict[str, Callable[[Basis, NormOracle], LemmaReport]] = {
-    "L0iii": lambda basis, oracle: check_monotone_tail(basis, oracle),
-    "L1": lambda basis, oracle: check_geometric_bound(basis, oracle),
-    "L2": lambda basis, oracle: check_discreteness(basis, oracle),
-    "L3": lambda basis, oracle: check_closedness(basis, oracle),
-    "L4": lambda basis, oracle: check_null_tail(basis, oracle, range(1, len(basis.rows) + 1)),
+# Every lemma run_checks can run, in the CLI's default order.
+LEMMA_CHECKS = ("L0iii", "L1", "L2", "L3", "L4")
+
+# Lemma name -> its check of every case over one coordinate view, at
+# tolerance tol.  L4 reads rows, not the view.
+_VIEW_CHECKS = {
+    "L0iii": _tail_report,
+    "L1": _doubling_report,
+    "L2": lambda view, tol: _stratum_report("L2", view, None, tol),
+    "L3": lambda view, tol: _stratum_report("L3", view, None, tol),
 }
 
 
@@ -314,21 +316,15 @@ def run_checks(
     """The reports of the named LEMMA_CHECKS, in the order named, and
     worst_geometric_ratio when ratio is set (None otherwise), each equal to
     what its public function returns.  They read one coordinate view of the
-    basis, built only if some check needs it, and L1 and the ratio share
-    its scaled letter norms."""
+    basis, built only if some check needs it."""
     names = tuple(names)
-    view = scaled = None
+    view = None
     if ratio or any(name != "L4" for name in names):
         view = _coordinate_view(basis, oracle)
-    if ratio or "L1" in names:
-        scaled = _scaled_letters(view[1])
-    tol = RELATIVE_TOLERANCE
-    bodies = {
-        "L0iii": lambda: _tail_report(view, tol),
-        "L1": lambda: _doubling_report(view, scaled, tol),
-        "L2": lambda: _stratum_report("L2", view, None, tol),
-        "L3": lambda: _stratum_report("L3", view, None, tol),
-        "L4": lambda: LEMMA_CHECKS["L4"](basis, oracle),
-    }
-    reports = {name: bodies[name]() for name in names}
-    return reports, _ratio(view, scaled) if ratio else None
+    reports = {}
+    for name in names:
+        if name == "L4":
+            reports[name] = check_null_tail(basis, oracle, range(1, len(basis.rows) + 1))
+        else:
+            reports[name] = _VIEW_CHECKS[name](view, RELATIVE_TOLERANCE)
+    return reports, _ratio(view) if ratio else None

@@ -180,6 +180,43 @@ def test_campaign_thread_count_does_not_change_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_campaign_pool_is_capped_by_trials_and_cpus(monkeypatch):
+    """--threads near --trials near 10**5 must not ask for 10**5 OS threads:
+    the pool gets at most one worker per trial and per CPU.  A recording
+    stand-in for the executor runs the trials in this thread."""
+    from boolnorm import campaign
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(campaign, "ThreadPoolExecutor", RecordingPool)
+    serial, _ = campaign.run_campaign(campaign.CampaignConfig(rank=3, trials=4, checks=("L0iii",)))
+    for cpus, threads, trials, want in (
+        (3, 10**5, 4, [3]),
+        (3, 2, 4, [2]),
+        (3, 10**5, 2, [2]),
+        (None, 10**5, 4, []),  # one worker: the trials run inline
+    ):
+        sizes.clear()
+        monkeypatch.setattr(campaign.os, "cpu_count", lambda: cpus)
+        cfg = campaign.CampaignConfig(rank=3, trials=trials, threads=threads, checks=("L0iii",))
+        rows, _ = campaign.run_campaign(cfg)
+        assert sizes == want
+        assert rows == serial[:trials]
+
+
 def test_campaign_with_fixed_norm(tmp_path, norm_a_file):
     out = tmp_path / "trials.csv"
     code = main(

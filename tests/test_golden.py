@@ -21,10 +21,14 @@ GOLDEN = {
     "rebase": "91e170582cb55f66fd188c9d0a08f093ae90e2c6ae910794a87bbba6341570d2",
     "campaign_r6": "0b6408a53c857779e8b8d30f15e06fd6a7c3da141679f8eb6de76bcf326a6ef3",
     "campaign_r10": "55173470e404fa7620d7a98b8fce77805d99ed39d3634c812a384c7be6cd47d0",
+    "reduce": "ba01127656c04b6da9a210a88f6af264a7211e0758f0eed1ee7ff774445b752c",
+    "reduce_prune": "0037324af787cdbeb8bf6e72c38b6e163a452fb22ff1efddd42dfaee6122debe",
 }
 
 RUNS = {
     # name -> (CLI arguments before --out, expected exit code)
+    "reduce": (["reduce", "--norm", "{norm}"], 0),
+    "reduce_prune": (["reduce", "--norm", "{norm}", "--prune"], 0),
     "verify": (["verify", "--norm", "{norm}"], 0),
     "verify_basis": (["verify", "--norm", "{norm}", "--basis", "{basis}"], 1),
     "rebase": (["rebase", "--norm", "{norm}", "--seq", "{seq}"], 0),

@@ -256,12 +256,12 @@ def test_vectorized_checkers_match_scalar_reference_on_invalid_tables():
 def test_every_checker_fails_on_a_non_finite_table(bad):
     """A value no bound can be evaluated against is a violation: the NaN or
     inf at {2} is read by every lemma, so none may pass."""
-    from boolnorm import LEMMA_CHECKS, TriangularBasis
+    from boolnorm import LEMMA_CHECKS, TriangularBasis, run_checks
 
     oracle = NormOracle(2, table=[0.0, 1.0, bad, 2.0])
     basis = TriangularBasis((0b01, 0b10))
-    for name, check in LEMMA_CHECKS.items():
-        report = check(basis, oracle)
+    for name in LEMMA_CHECKS:
+        report = run_checks(basis, oracle, [name])[0][name]
         assert not report.passed, name
         assert report.violations, name
     assert worst_geometric_ratio(basis, oracle) == float("inf")
@@ -448,12 +448,12 @@ def scalar_strata(basis, oracle, n, tol=1e-9):
     return out
 
 
-def draw_table_instance(data, value):
+def draw_table_instance(data, value, max_rank=5):
     """A random triangular basis and a table norm whose nonzero entries are
     drawn from `value`."""
     from boolnorm import TriangularBasis
 
-    rank = data.draw(st.integers(min_value=1, max_value=5))
+    rank = data.draw(st.integers(min_value=1, max_value=max_rank))
     table = [0.0] + data.draw(st.lists(value, min_size=(1 << rank) - 1, max_size=(1 << rank) - 1))
     rows = tuple(
         data.draw(st.integers(min_value=0, max_value=(1 << j) - 1)) | 1 << j for j in range(rank)
@@ -531,7 +531,7 @@ def test_radius_bound_skips_the_pair_scan_of_cleared_words(monkeypatch):
     monkeypatch.setattr(verification, "exceeds", counting_exceeds)
     for lemma in ("L2", "L3"):
         calls.clear()
-        report = verification.LEMMA_CHECKS[lemma](basis, oracle)
+        report = verification.run_checks(basis, oracle, [lemma])[0][lemma]
         assert report.passed and report.checked > 0
         # one pair scan per uncleared word, against 2**8 words in all
         assert len(calls) < 1 << 7, lemma
@@ -633,7 +633,7 @@ def test_registry_builds_one_coordinate_view_per_stratum_check(monkeypatch, tmp_
     monkeypatch.setattr(verification, "_coordinate_view", counting_view)
     for lemma in ("L2", "L3"):
         built.clear()
-        report = verification.LEMMA_CHECKS[lemma](basis, oracle)
+        report = verification.run_checks(basis, oracle, [lemma])[0][lemma]
         assert report.checked > 0
         assert built == [10], lemma
     # verify runs all five lemmas, and a campaign trial every check and the
@@ -688,6 +688,31 @@ def test_separation_epsilon_refuses_a_repeated_coordinate():
             separation_epsilon(coords, basis, oracle)
 
 
+# Raw table entries: zeros of both signs, negatives, NaN, +-inf, values
+# near the float range's top, subnormals and powers of two.
+RAW_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0, 1.0 + 1e-10, -1.0, -2.5]),
+    st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+    st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 1e-310]),
+    st.integers(min_value=1, max_value=8).map(lambda m: m * 5e-324),
+    st.integers(min_value=0, max_value=7).map(lambda e: math.ldexp(np.finfo(float).tiny, e)),
+    st.integers(min_value=-6, max_value=6).map(lambda e: 2.0**e),
+)
+
+
+def draw_reduced_or_raw_instance(data):
+    """Either the reduced basis of a seeded norm of one of the three
+    families, at rank <= 8, or a triangular basis over a raw table of
+    RAW_VALUES, at rank <= 6."""
+    if data.draw(st.booleans()):
+        rank = data.draw(st.integers(min_value=1, max_value=8))
+        family = data.draw(st.sampled_from(("weighted", "graev", "closure")))
+        seed = data.draw(st.integers(min_value=0, max_value=10**6))
+        _, oracle = random_norm(rng_from(seed, rank), rank, family)
+        return reduce_basis(oracle, rank), oracle
+    return draw_table_instance(data, RAW_VALUES, max_rank=6)
+
+
 def reference_geometric_bound(basis, oracle, tol=1e-9):
     """check_geometric_bound as a full scan: for each letter j, every word c
     holding it, in one numpy pass per letter, violations sorted by (word,
@@ -736,30 +761,7 @@ def test_doubling_bound_matches_the_full_scan_reference(data):
     from boolnorm import TriangularBasis
 
     tol = data.draw(st.sampled_from([0.0, 1e-9, 0.25, -1e-9, -0.5, -2.0]))
-    if data.draw(st.booleans()):
-        rank = data.draw(st.integers(min_value=1, max_value=8))
-        family = data.draw(st.sampled_from(("weighted", "graev", "closure")))
-        seed = data.draw(st.integers(min_value=0, max_value=10**6))
-        _, oracle = random_norm(rng_from(seed, rank), rank, family)
-        basis = reduce_basis(oracle, rank)
-    else:
-        rank = data.draw(st.integers(min_value=1, max_value=6))
-        nan, inf, tiny = float("nan"), float("inf"), np.finfo(float).tiny
-        value = st.one_of(
-            st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0, 1.0 + 1e-10, -1.0, -2.5]),
-            st.sampled_from([nan, inf, -inf]),
-            st.sampled_from([1e308, -1e308, 1.7976931348623157e308, 1e-310]),
-            st.integers(min_value=1, max_value=8).map(lambda m: m * 5e-324),
-            st.integers(min_value=0, max_value=7).map(lambda e: math.ldexp(tiny, e)),
-            st.integers(min_value=-6, max_value=6).map(lambda e: 2.0**e),
-        )
-        size = (1 << rank) - 1
-        table = [0.0] + data.draw(st.lists(value, min_size=size, max_size=size))
-        rows = tuple(
-            data.draw(st.integers(min_value=0, max_value=(1 << j) - 1)) | 1 << j
-            for j in range(rank)
-        )
-        basis, oracle = TriangularBasis(rows), NormOracle(rank, table=table)
+    basis, oracle = draw_reduced_or_raw_instance(data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = check_geometric_bound(basis, oracle, tol=tol)
@@ -795,6 +797,15 @@ def test_doubling_bound_passes_where_the_bound_overflows():
     ]
 
 
+def test_worst_ratio_past_the_float_range_is_inf():
+    """Letter norm 1e308 over word norm 0.5 leaves the float range: the
+    ratio is inf, and numpy reports no overflow."""
+    from boolnorm import TriangularBasis
+
+    oracle = NormOracle(2, table=[0.0, 1.0, 1e308, 0.5])
+    assert worst_geometric_ratio(TriangularBasis((0b01, 0b10)), oracle) == float("inf")
+
+
 def test_doubling_bound_scans_every_word_when_halving_rounds():
     """Half of the subnormal row norm 5 * 2**-1074 rounds to 2 * 2**-1074,
     the norm of {1, 2}, yet 5 * 2**-1074 > 2 * (2 * 2**-1074): a cut read
@@ -807,3 +818,48 @@ def test_doubling_bound_scans_every_word_when_halving_rounds():
     assert [(v.witness, v.lhs, v.rhs) for v in report.violations] == [
         ({"word": [1, 2], "k": 1}, 5 * unit, 4 * unit)
     ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_run_checks_over_one_view_equals_the_public_checkers(data):
+    """Every lemma read from one coordinate view reports what its public
+    checker does, and the ratio is worst_geometric_ratio, on reduced bases
+    and on raw tables that no norm would pass."""
+    from boolnorm import LEMMA_CHECKS, run_checks
+
+    public = {
+        "L0iii": check_monotone_tail,
+        "L1": check_geometric_bound,
+        "L2": check_discreteness,
+        "L3": check_closedness,
+        "L4": lambda basis, oracle: check_null_tail(basis, oracle, range(1, len(basis.rows) + 1)),
+    }
+    basis, oracle = draw_reduced_or_raw_instance(data)
+    reports, ratio = run_checks(basis, oracle, LEMMA_CHECKS, ratio=True)
+    assert tuple(reports) == LEMMA_CHECKS
+    for name in LEMMA_CHECKS:
+        # NaN != NaN, so compare the JSON text
+        assert json.dumps(reports[name].to_json()) == json.dumps(public[name](basis, oracle).to_json())
+    assert repr(ratio) == repr(worst_geometric_ratio(basis, oracle))
+
+
+def test_every_checker_refuses_a_nan_tolerance(bad_oracle, bad_basis):
+    """No lhs exceeds a bound with NaN slack, so a NaN tol would pass the
+    L0iii, L1 and L4 violations of this negative control.  A negative tol
+    stays a valid, stricter slack."""
+    from boolnorm.norms import exceeds
+
+    checkers = (
+        check_monotone_tail,
+        check_geometric_bound,
+        check_discreteness,
+        check_closedness,
+        lambda basis, oracle, tol: check_null_tail(basis, oracle, (1, 2), tol=tol),
+    )
+    for checker in checkers:
+        with pytest.raises(ValueError, match="tol must not be NaN"):
+            checker(bad_basis, bad_oracle, tol=float("nan"))
+        checker(bad_basis, bad_oracle, tol=-1e-9)
+    with pytest.raises(ValueError, match="tol must not be NaN"):
+        exceeds(1.0, 2.0, float("nan"))
