@@ -2,14 +2,12 @@
 
 Each trial draws a norm, reduces a basis, runs the requested checkers, and
 contributes one fixed-column CSV row; trials are independent and seeded per
-index, so results do not depend on the worker count.
+index, and run in order on the calling thread.
 """
 
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO
 
@@ -62,6 +60,8 @@ class CampaignConfig:
             raise ValueError("threads must be >= 1")
         if not self.checks:
             raise ValueError("at least one check is required")
+        if len(set(self.checks)) != len(self.checks):
+            raise ValueError(f"repeated check name in {', '.join(self.checks)}")
         for name in self.checks:
             if name not in CHECK_NAMES:
                 raise ValueError(f"unknown check {name!r} (choose from {', '.join(CHECK_NAMES)})")
@@ -127,14 +127,8 @@ def run_trial(cfg: CampaignConfig, trial: int) -> dict:
 
 
 def run_campaign(cfg: CampaignConfig) -> tuple[list[dict], dict]:
-    """All trial rows in trial order plus an aggregate summary.  The pool
-    holds at most one worker per trial and per CPU."""
-    workers = min(cfg.threads, cfg.trials, os.cpu_count() or 1)
-    if workers == 1:
-        rows = [run_trial(cfg, t) for t in range(cfg.trials)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(lambda t: run_trial(cfg, t), range(cfg.trials)))
+    """Every trial row, run in order on the calling thread, plus a summary."""
+    rows = [run_trial(cfg, t) for t in range(cfg.trials)]
     failures = sum(1 for r in rows if r["pass"] != "true")
     summary = {
         "trials": cfg.trials,

@@ -41,7 +41,10 @@ from .verification import LEMMA_CHECKS, run_checks
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nests too deeply") from None
 
 
 def _emit_json(payload: Mapping, out: str | None) -> None:
@@ -86,6 +89,8 @@ def _parse_checks(text: str, allowed: tuple[str, ...]) -> tuple[str, ...]:
     for name in names:
         if name not in allowed:
             raise ValueError(f"unknown check {name!r} (choose from {', '.join(allowed)})")
+    if len(set(names)) != len(names):
+        raise ValueError(f"repeated check name in {text!r}")
     return names
 
 
@@ -237,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_campaign.add_argument("--rank", type=int, required=True)
     p_campaign.add_argument("--trials", type=int, required=True)
     p_campaign.add_argument("--seed", type=int, default=0)
-    p_campaign.add_argument("--threads", type=int, default=1)
+    p_campaign.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     p_campaign.add_argument("--family", default="closure", choices=NORM_FAMILIES)
     p_campaign.add_argument("--norm", default=None, help="fixed norm spec instead of random draws")
     p_campaign.add_argument(

@@ -180,41 +180,63 @@ def test_campaign_thread_count_does_not_change_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_campaign_pool_is_capped_by_trials_and_cpus(monkeypatch):
-    """--threads near --trials near 10**5 must not ask for 10**5 OS threads:
-    the pool gets at most one worker per trial and per CPU.  A recording
-    stand-in for the executor runs the trials in this thread."""
+def test_campaign_runs_every_trial_on_the_calling_thread(monkeypatch):
+    """--threads is accepted and has no effect: even with threads=4 and four
+    CPUs, every trial runs on the caller's thread, in trial order."""
+    import threading
+
     from boolnorm import campaign
 
-    sizes = []
+    seen, run_trial = [], campaign.run_trial
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def recording_run_trial(cfg, trial):
+        seen.append((threading.get_ident(), trial))
+        return run_trial(cfg, trial)
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    monkeypatch.setattr(campaign, "run_trial", recording_run_trial)
+    cfg = campaign.CampaignConfig(rank=3, trials=6, threads=4, checks=("L0iii",))
+    rows, _ = campaign.run_campaign(cfg)
+    assert seen == [(threading.get_ident(), t) for t in range(6)]
+    assert [r["trial"] for r in rows] == list(range(6))
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+@pytest.mark.parametrize("command", ["verify", "campaign"])
+def test_repeated_check_names_are_refused(tmp_path, norm_a_file, capsys, command):
+    # a repeat would run the check again and count its violations twice
+    out = str(tmp_path / "out")
+    if command == "verify":
+        args = ["verify", "--norm", norm_a_file, "--out", out]
+    else:
+        args = ["campaign", "--rank", "2", "--trials", "1", "--out", out]
+    assert main(args + ["--checks", "L1,L1"]) == 2
+    assert "repeated check name" in capsys.readouterr().err
 
-    monkeypatch.setattr(campaign, "ThreadPoolExecutor", RecordingPool)
-    serial, _ = campaign.run_campaign(campaign.CampaignConfig(rank=3, trials=4, checks=("L0iii",)))
-    for cpus, threads, trials, want in (
-        (3, 10**5, 4, [3]),
-        (3, 2, 4, [2]),
-        (3, 10**5, 2, [2]),
-        (None, 10**5, 4, []),  # one worker: the trials run inline
-    ):
-        sizes.clear()
-        monkeypatch.setattr(campaign.os, "cpu_count", lambda: cpus)
-        cfg = campaign.CampaignConfig(rank=3, trials=trials, threads=threads, checks=("L0iii",))
-        rows, _ = campaign.run_campaign(cfg)
-        assert sizes == want
-        assert rows == serial[:trials]
+
+def test_campaign_config_refuses_repeated_checks():
+    from boolnorm.campaign import CampaignConfig, run_campaign
+    from boolnorm.norms import BaseCostTable, table_norm
+
+    costs = (0.0, 9.51, 1.53, 9.49, 3.19, 4.29, 8.29, 4.15)
+    norm = table_norm(BaseCostTable(3, costs))
+    rows, _ = run_campaign(CampaignConfig(rank=3, trials=1, norm=norm, checks=("L1",)))
+    assert rows[0]["violations"] == 1
+    with pytest.raises(ValueError, match="repeated check name"):
+        CampaignConfig(rank=3, trials=1, norm=norm, checks=("L1", "L1"))
+
+
+@pytest.mark.parametrize("command", ["verify", "verify --basis", "rebase"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, norm_a_file, capsys, command):
+    # json.load raises RecursionError, which must exit 2, not 1 with a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    args = {
+        "verify": ["verify", "--norm", str(deep)],
+        "verify --basis": ["verify", "--norm", norm_a_file, "--basis", str(deep)],
+        "rebase": ["rebase", "--norm", norm_a_file, "--seq", str(deep)],
+    }[command]
+    assert main(args) == 2
+    assert "nests too deeply" in capsys.readouterr().err
 
 
 def test_campaign_with_fixed_norm(tmp_path, norm_a_file):
@@ -383,10 +405,8 @@ def test_verify_without_the_gate_fails_on_overflowing_norms(tmp_path, capsys):
 
 
 def test_campaign_shares_one_fixed_norm_across_threads(tmp_path, monkeypatch):
-    # A graev oracle builds its table lazily, so the threads race to build
-    # it; the shared oracle is built once and the CSV bytes do not change.
-    import sys
-
+    # one oracle per run, not one per trial, and the CSV bytes do not
+    # depend on --threads
     import boolnorm.cli as cli
     from boolnorm.instances import random_metric_spec, rng_from
     from boolnorm.norms import spec_to_json
@@ -401,14 +421,9 @@ def test_campaign_shares_one_fixed_norm_across_threads(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "oracle_for", counting_oracle_for)
     args = ["campaign", "--rank", "5", "--trials", "12", "--norm", norm, "--checks", "L0iii,L1"]
     out1, out8 = tmp_path / "a.csv", tmp_path / "b.csv"
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert main(args + ["--threads", "8", "--out", str(out8)]) == 0
-    finally:
-        sys.setswitchinterval(interval)
+    assert main(args + ["--threads", "8", "--out", str(out8)]) == 0
     assert main(args + ["--threads", "1", "--out", str(out1)]) == 0
-    assert len(built) == 2  # one oracle per run, not one per trial
+    assert len(built) == 2
     assert out1.read_bytes() == out8.read_bytes()
 
 
