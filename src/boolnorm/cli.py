@@ -98,6 +98,9 @@ def _load_basis_file(path: str, oracle_rank: int):
     data = _load_json(path)
     if not isinstance(data, list):
         raise ValueError("basis file must be a JSON array of support arrays")
+    if not data:
+        # no lemma would evaluate anything on an empty basis, yet all pass
+        raise ValueError("basis file must hold at least one row")
     rows = tuple(from_support(entry, oracle_rank) for entry in data)
     try:
         return TriangularBasis(rows)

@@ -10,7 +10,6 @@ vectorized recurrences.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
@@ -227,7 +226,6 @@ class NormOracle:
         self.rank = rank
         self.kind = kind
         self._array: np.ndarray | None = None
-        self._lock = threading.Lock()
         self._fn = fn
         if build is None and fn is not None:
             build = lambda m: np.fromiter(map(fn, range(1 << m)), dtype=float, count=1 << m)  # noqa: E731
@@ -242,11 +240,8 @@ class NormOracle:
         """Values on generators 1..m: the first 2**m table entries."""
         arr = self._array
         if arr is None or arr.size < 1 << m:
-            with self._lock:
-                arr = self._array
-                if arr is None or arr.size < 1 << m:
-                    require_memory(8 << m, f"a rank-{m} norm table")
-                    arr = self._array = np.asarray(self._build(m), dtype=float)
+            require_memory(8 << m, f"a rank-{m} norm table")
+            arr = self._array = np.asarray(self._build(m), dtype=float)
         return arr[: 1 << m]
 
     def __call__(self, g: Element) -> float:
@@ -295,10 +290,12 @@ def weighted_norm(spec: WeightSpec, g: Element) -> float:
 
 def _weighted_table(weights: tuple[float, ...], m: int) -> np.ndarray:
     # Doubling adds weight i to every mask below 2^i, so each mask sums its
-    # weights in ascending letter order, exactly as weighted_norm does.
+    # weights in ascending letter order, exactly as weighted_norm does.  A
+    # sum past the float range is inf, which the axiom gate reports.
     t = np.zeros(1 << m)
-    for i in range(m):
-        t[1 << i : 2 << i] = t[: 1 << i] + weights[i]
+    with np.errstate(over="ignore"):
+        for i in range(m):
+            t[1 << i : 2 << i] = t[: 1 << i] + weights[i]
     return t
 
 
@@ -397,6 +394,9 @@ def closure_norm(base: BaseCostTable) -> NormOracle:
     dist[0] = 0.0
     parts = np.argsort(step)
     ascending = step[parts]
+    # A Python float: a sum with it past the float range is inf, which
+    # stops the pass, without a numpy overflow warning.
+    cheapest = ascending.item(0)
     # inf once a label is final, so the argmin of dist + done skips final
     # labels; positive finite costs keep every dist finite.
     done = np.zeros(size)
@@ -406,8 +406,8 @@ def closure_norm(base: BaseCostTable) -> NormOracle:
             # is still at or above every live label.
             top = (dist - done).max()
         u = int((dist + done).argmin())
-        du = dist[u]
-        if du + ascending[0] >= top:
+        du = dist.item(u)
+        if du + cheapest >= top:
             break
         done[u] = np.inf
         m = _window_end(ascending, du, top)
@@ -422,8 +422,9 @@ def _window_end(ascending: np.ndarray, base: float, top: float) -> int:
     rounded sum with base falls below top."""
     j = int(ascending.searchsorted(top - base))
     # top - base rounds too, so step over any run of equal values whose
-    # rounded sum with base is still below top.
-    while j < ascending.size and base + ascending[j] < top:
+    # rounded sum with base is still below top.  As a Python float, a sum
+    # past the float range is inf, at or above top, without a numpy warning.
+    while j < ascending.size and float(base) + ascending.item(j) < top:
         j = int(ascending.searchsorted(ascending[j], "right"))
     return j
 
@@ -477,7 +478,10 @@ def check_norm_axioms(oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE) ->
     Subadditivity is scanned only inside a value window: t[g ^ h] is at
     most T = max(t), so a pair with t[g] + t[h] >= T cannot fail.  Rows
     are walked in ascending value order, each over the partners whose sum
-    with it stays below T, and the walk ends at the first empty row."""
+    with it stays below T, and the walk ends at the first empty row.  A
+    table that is exactly the ascending letter sum of its singleton values
+    (a weighted norm) passes without a scan when tol >= 2^-40; the proof
+    is at the shortcut."""
     n = oracle.rank
     if n > EXHAUSTIVE_RANK_BOUND:
         raise RankTooLargeError(
@@ -500,6 +504,32 @@ def check_norm_axioms(oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE) ->
             return AxiomReport(
                 False, pairs, AxiomViolation(axiom, support(g), None, float(t[g]), bound)
             )
+    # An additive table passes by proof: when t is, bit for bit, the
+    # ascending letter sum of its own singleton values (a weighted norm),
+    # no visited pair can exceed at tol >= 2^-40.  With S_g the exact sum
+    # over the letters of g and u = 2^-53:
+    # - each t[g] is a sum of at most n positive terms in order, so
+    #   t[g] = S_g (1 + θ) with |θ| <= γ_{n-1} = (n-1)u / (1 - (n-1)u);
+    #   addition is exact where it underflows, so this holds down to the
+    #   subnormals;
+    # - the letters of g ^ h are a subset of those of g and h, so
+    #   S_{g^h} <= S_g + S_h, and lhs = t[g ^ h] against
+    #   rhs = fl(t[g] + t[h]) gives lhs - rhs <= (2γ_n + u)(S_g + S_h);
+    # - exceeds' slack fl(tol * big), with big >= rhs, covers that once tol
+    #   is about 2(n + 1)u (3e-15 at n = 14), so 2^-40 leaves more than 100x
+    #   margin; a product that underflows loses at most 2^-1075, which
+    #   matters only where every sum is below 2^-1021 and so exact;
+    # - the scan visits only pairs whose rhs is below max(t), so no visited
+    #   sum overflows.
+    # Below 2^-40 the table is scanned: at tol = 0 many weighted tables fail
+    # by an ulp, e.g. weights (0.7, 1/3, 1.1, 0.1) at ({3}, {1, 4}).
+    if tol >= 2.0**-40:
+        singles = t[1 << np.arange(n)].tolist()
+        total = 0.0
+        for w in singles:  # t[-1]'s sum: an O(n) reject for most other tables
+            total += w
+        if total == t[-1] and np.array_equal(t, _weighted_table(singles, n)):
+            return AxiomReport(True, pairs, None)
     # The values are now finite and nonnegative, so with tol >= 0 only pairs
     # with lhs > rhs can be bad, and lhs <= T bounds rhs below T.  bad(g, h)
     # is symmetric (IEEE addition commutes), so each row a scans the sorted

@@ -127,6 +127,18 @@ def test_rebase_samples_witness_masks_above_12_rows(tmp_path, seed):
     assert payload["witness_failures"] == 0
 
 
+def test_rebase_checks_every_witness_mask_of_12_rows(tmp_path):
+    norm = write_json(tmp_path / "w12.json", {"kind": "weighted", "weights": [1.0] * 12})
+    terms = [[2]] + [[1, k, k + 1] for k in range(2, 12)]
+    seq = write_json(tmp_path / "seq.json", terms)
+    out = tmp_path / "rebase.json"
+    assert main(["rebase", "--norm", norm, "--seq", seq, "--out", str(out)]) == 0
+    payload = read_json(out)
+    assert len(payload["rows"]) == 12
+    assert payload["witnesses_checked"] == (1 << 12) - 1
+    assert payload["witness_failures"] == 0
+
+
 def test_rebase_unusable_sequence(tmp_path):
     norm = write_json(
         tmp_path / "w4.json", {"kind": "weighted", "weights": [1.0, 1.0, 1.0, 1.0]}
@@ -391,7 +403,6 @@ def test_reduce_prune_refuses_to_skip_the_axiom_gate(tmp_path, norm_a_file, caps
     assert not (tmp_path / "b.json").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_verify_without_the_gate_fails_on_overflowing_norms(tmp_path, capsys):
     """Weights of 1e308 are finite, but the norm of {1,2} overflows to inf;
     with the gate skipped every lemma must see it and fail."""
@@ -401,6 +412,26 @@ def test_verify_without_the_gate_fails_on_overflowing_norms(tmp_path, capsys):
     assert not any(rep["pass"] for rep in read_json(out)["checks"].values())
     assert main(["verify", "--norm", norm]) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_gate_checks_every_generator_up_to_the_exhaustive_bound(tmp_path, capsys, command):
+    # Only generators 13 and 14 together overflow, so a gate on the rank-13
+    # restriction would pass this rank-15 spec.
+    weights = [1.0] * 12 + [1e308, 1e308, 1.0]
+    norm = write_json(tmp_path / "w15.json", {"kind": "weighted", "weights": weights})
+    assert main([command, "--norm", norm, "--out", str(tmp_path / "out.json")]) == 2
+    assert "norm axioms fail (finite) at g=[13, 14]" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_verify_refuses_an_empty_basis_file(tmp_path, norm_a_file, capsys):
+    # nothing would be evaluated on an empty basis, yet every lemma would pass
+    basis = write_json(tmp_path / "basis.json", [])
+    out = tmp_path / "report.json"
+    assert main(["verify", "--norm", norm_a_file, "--basis", basis, "--out", str(out)]) == 2
+    assert "basis file must hold at least one row" in capsys.readouterr().err
+    assert not out.exists()
 
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from boolnorm import (
     EXHAUSTIVE_RANK_BOUND,
+    AxiomViolation,
     BaseCostTable,
     GeneralBasis,
     IndexOutOfRankError,
@@ -192,6 +193,14 @@ def test_closure_examples():
     assert m.table().tolist() == [0.0, 1.0, 3.0, 2.0]
 
 
+def test_closure_keeps_a_candidate_just_below_the_top():
+    # {1} + {2} = 2.0 lies a hair under the direct cost 2.001 of {1,2}: a
+    # pass that stopped when the cheapest extension came near the top would
+    # leave 2.001.
+    closed = closure_norm(BaseCostTable(2, (0.0, 1.0, 1.0, 2.001)))
+    assert closed(from_support([1, 2])) == 2.0
+
+
 def test_closure_matches_relaxation_fixpoint():
     for i in range(6):
         base = random_base_table(rng_from(303, i), 4)
@@ -263,14 +272,20 @@ def test_closure_matches_the_unwindowed_pass(rank, family, seed):
     assert table.tobytes() == label_setting_closure(costs).tobytes()
 
 
-def test_value_window_skips_most_of_both_kernels(monkeypatch):
-    # Each closure label relaxed and each axiom row scanned asks for one
-    # window end; on a rank-10 closure table both stop early.
+def count_window_ends(monkeypatch):
+    """The calls to _window_end: one per closure label relaxed and one per
+    axiom row scanned."""
     from boolnorm import norms
 
     calls = []
     window_end = norms._window_end
     monkeypatch.setattr(norms, "_window_end", lambda *a: calls.append(a) or window_end(*a))
+    return calls
+
+
+def test_value_window_skips_most_of_both_kernels(monkeypatch):
+    # On a rank-10 closure table both kernels stop early.
+    calls = count_window_ends(monkeypatch)
     oracle = closure_norm(random_base_table(rng_from(0, 10), 10))
     assert 0 < len(calls) < 1024 // 4
     calls.clear()
@@ -637,6 +652,14 @@ def test_value_window_keeps_a_part_that_rounds_below_the_top():
     assert axiom_outcome(report) == (False, ((1,), (2,), top, base + x), 16)
 
 
+def test_value_window_sums_past_the_float_range_stay_quiet():
+    # 1e308 + 1e308 overflows to inf, which is at or above any top: both
+    # kernels cut the window there without a numpy overflow warning.
+    costs = (0.0, 1e308, 1e308, 1.5e308)
+    assert closure_norm(BaseCostTable(2, costs)).table().tolist() == list(costs)
+    assert check_norm_axioms(NormOracle(2, table=np.array(costs)), tol=0.0).passed
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 10**6), st.integers(min_value=0, max_value=12))
 def test_value_window_end_covers_every_sum_below_the_top(seed, count):
@@ -670,6 +693,72 @@ def test_axiom_checker_flags_non_finite_values(bad):
     # a non-finite value is reported before a nonpositive one
     both = NormOracle(2, table=np.array([0.0, -1.0, bad, 2.0]))
     assert check_norm_axioms(both).violation.axiom == "finite"
+
+
+# Positive weights from the subnormals up to totals near the float maximum,
+# and totals past it, which the finite check refuses before any shortcut.
+positive_weights = st.one_of(
+    st.floats(min_value=5e-324, max_value=1e-300),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.floats(min_value=1e300, max_value=np.finfo(float).max),
+    st.floats(min_value=5e-324, max_value=np.finfo(float).max),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(positive_weights, min_size=1, max_size=10),
+    st.sampled_from([2.0**-40, 1e-9, 0.25]),
+)
+def test_weighted_shortcut_reports_what_the_full_scan_does(weights, tol):
+    # A weighted table passes the gate without a scan: the report must be
+    # the one the scan over every pair, after the finite check, would give.
+    from boolnorm.norms import _weighted_table
+
+    rank = len(weights)
+    table = _weighted_table(tuple(weights), rank)
+    report = check_norm_axioms(NormOracle(rank, table=table), tol=tol)
+    assert report.pairs_checked == 4**rank
+    if not np.isfinite(table).all():
+        g = int(np.argmax(~np.isfinite(table)))
+        assert report.violation == AxiomViolation("finite", support(g), None, np.inf, np.inf)
+        return
+    with np.errstate(over="ignore"):  # sums past the float range cannot fail
+        expected = full_scan_axioms(table, tol)
+    assert axiom_outcome(report) == (expected is None, expected, 4**rank)
+
+
+def test_weighted_tables_below_the_shortcut_tolerance_are_scanned(monkeypatch):
+    # At tol = 0 the ascending sums differ by an ulp: 0.7 + 1.1 + 0.1 rounds
+    # above 1.1 + (0.7 + 0.1).
+    rows = count_window_ends(monkeypatch)
+    oracle = weighted_oracle(WeightSpec((0.7, 1 / 3, 1.1, 0.1)))
+    expected = ((3,), (1, 4), 1.9000000000000001, 1.9)
+    assert full_scan_axioms(oracle.table(), 0.0) == expected
+    assert axiom_outcome(check_norm_axioms(oracle, tol=0.0)) == (False, expected, 4**4)
+    assert rows
+    rows.clear()
+    assert check_norm_axioms(oracle, tol=np.nextafter(2.0**-40, 0.0)).passed
+    assert rows
+    rows.clear()
+    assert check_norm_axioms(oracle, tol=2.0**-40).passed
+    assert not rows
+
+
+def test_a_weighted_table_with_one_raised_entry_is_scanned(monkeypatch):
+    # Only {1,2} is raised, so the top entry still equals the sum of the
+    # singletons and the full comparison is what sends the table to the scan.
+    rows = count_window_ends(monkeypatch)
+    table = weighted_oracle(WeightSpec((1.0, 2.0, 4.0))).table().copy()
+    assert check_norm_axioms(NormOracle(3, table=table)).passed
+    assert not rows
+    table[0b011] = 3.0 * (1 + 1e-8)
+    report = check_norm_axioms(NormOracle(3, table=table))
+    assert rows
+    assert axiom_outcome(report) == (False, ((1,), (2,), table[0b011], 3.0), 4**3)
+    # raised within the tolerance, the scan passes it
+    table[0b011] = np.nextafter(3.0, 4.0)
+    assert check_norm_axioms(NormOracle(3, table=table)).passed
 
 
 @settings(max_examples=30, deadline=None)
