@@ -89,19 +89,32 @@ class MetricSpec:
                     raise ValueError(f"dist({i},{j}) must be positive off the diagonal")
                 if x != d[j][i]:
                     raise ValueError(f"dist({i},{j}) != dist({j},{i})")
-        a = np.array(d)
-        for i in range(m):
-            bad = exceeds(a[i], a[i][:, None] + a)  # [j, k]: d(i,k) vs d(i,j) + d(j,k)
-            if bad.any():
-                j, k = divmod(int(np.argmax(bad)), m)
-                raise ValueError(
-                    f"triangle inequality fails at ({i},{j},{k}): "
-                    f"{d[i][k]} > {d[i][j]} + {d[j][k]}"
-                )
+        failure = _triangle_failure(np.array(d), RELATIVE_TOLERANCE)
+        if failure is not None:
+            i, j, k = failure
+            raise ValueError(
+                f"triangle inequality fails at ({i},{j},{k}): "
+                f"{d[i][k]} > {d[i][j]} + {d[j][k]}"
+            )
 
     @property
     def rank(self) -> int:
         return len(self.dist) - 1
+
+
+def _triangle_failure(a: np.ndarray, tol: float) -> tuple[int, int, int] | None:
+    """The first (i, j, k) in row-major order with d(i,k) > d(i,j) + d(j,k)
+    beyond relative slack tol, or None.  A sum past the float range is a
+    bound that no finite distance beats, so it passes."""
+    m = len(a)
+    for i in range(m):
+        with np.errstate(over="ignore"):
+            bound = a[i][:, None] + a  # [j, k]: d(i,j) + d(j,k)
+        bad = exceeds(a[i], bound, tol) & (bound < np.inf)
+        if bad.any():
+            j, k = divmod(int(np.argmax(bad)), m)
+            return i, j, k
+    return None
 
 
 @dataclass(frozen=True)
@@ -343,18 +356,20 @@ def _graev_table(dist: tuple[tuple[float, ...], ...], m: int) -> np.ndarray:
     # the top letter down: those masks are the odd multiples of 2^(i-1), and
     # their remainders (the multiples of 2^i) only hold letters above i, so
     # they are final when letter i is reached.  The sums are the scalar
-    # DP's, term for term.
+    # DP's, term for term.  A sum past the float range is inf, as in
+    # _weighted_table; an entry that stays inf is reported by the axiom gate.
     t = np.zeros(1 << m)
-    for i in range(m, 0, -1):
-        step = 1 << i
-        rest = t[::step]  # rest[r] = value at mask r * 2^i
-        best = dist[i][0] + rest
-        for p in range(m - i):
-            # masks whose remainder holds letter j = i + 1 + p: bit p of r
-            pairs = rest.reshape(-1, 2, 1 << p)[:, 0, :]
-            with_j = best.reshape(-1, 2, 1 << p)[:, 1, :]
-            np.minimum(with_j, dist[i][i + 1 + p] + pairs, out=with_j)
-        t[step >> 1 :: step] = best
+    with np.errstate(over="ignore"):
+        for i in range(m, 0, -1):
+            step = 1 << i
+            rest = t[::step]  # rest[r] = value at mask r * 2^i
+            best = dist[i][0] + rest
+            for p in range(m - i):
+                # masks whose remainder holds letter j = i + 1 + p: bit p of r
+                pairs = rest.reshape(-1, 2, 1 << p)[:, 0, :]
+                with_j = best.reshape(-1, 2, 1 << p)[:, 1, :]
+                np.minimum(with_j, dist[i][i + 1 + p] + pairs, out=with_j)
+            t[step >> 1 :: step] = best
     return t
 
 
@@ -478,10 +493,14 @@ def check_norm_axioms(oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE) ->
     Subadditivity is scanned only inside a value window: t[g ^ h] is at
     most T = max(t), so a pair with t[g] + t[h] >= T cannot fail.  Rows
     are walked in ascending value order, each over the partners whose sum
-    with it stays below T, and the walk ends at the first empty row.  A
-    table that is exactly the ascending letter sum of its singleton values
-    (a weighted norm) passes without a scan when tol >= 2^-40; the proof
-    is at the shortcut."""
+    with it stays below T, and the walk ends at the first empty row.
+
+    Two kinds of table pass without a scan when tol >= 2^-40, each read
+    off the table alone: one that is exactly the ascending letter sum of
+    its singleton values (a weighted norm), and one that is exactly the
+    graev table of the metric its singleton and two-letter values form,
+    where that metric meets the triangle inequality to relative slack
+    2^-50.  The proofs are at the shortcuts."""
     n = oracle.rank
     if n > EXHAUSTIVE_RANK_BOUND:
         raise RankTooLargeError(
@@ -530,6 +549,8 @@ def check_norm_axioms(oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE) ->
             total += w
         if total == t[-1] and np.array_equal(t, _weighted_table(singles, n)):
             return AxiomReport(True, pairs, None)
+        if _is_graev_table(t, n, singles):
+            return AxiomReport(True, pairs, None)
     # The values are now finite and nonnegative, so with tol >= 0 only pairs
     # with lhs > rhs can be bad, and lhs <= T bounds rhs below T.  bad(g, h)
     # is symmetric (IEEE addition commutes), so each row a scans the sorted
@@ -562,6 +583,48 @@ def check_norm_axioms(oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE) ->
         AxiomViolation(
             "subadditivity", support(g), support(h), float(t[g ^ h]), float(t[g] + t[h])
         ),
+    )
+
+
+def _is_graev_table(t: np.ndarray, n: int, singles: list[float]) -> bool:
+    """Whether t is, bit for bit, _graev_table of the metric read off its
+    own entries, and that metric meets the triangle inequality to relative
+    slack 2^-50: then no pair fails the axiom gate at tol >= 2^-40."""
+    # The proof.  With D(i,0) = t[{i}], D(i,j) = t[{i,j}], N_D the exact
+    # Graev norm of D (the min over pairings of the exact sum of their
+    # distances), S = N_D(g) + N_D(h) and u = 2^-53:
+    # - rounded addition is monotone, so the DP's value at g is the min over
+    #   pairings P of g of P's at most n terms summed in one fixed order, and
+    #   t[g] = N_D(g)(1 + θ) with |θ| <= γ_n = nu / (1 - nu); a pairing sum
+    #   that overflows is above every finite t[g] and never sets it;
+    # - the edges of optimal pairings of g and h (each basepoint end its own
+    #   copy) form paths and cycles whose interior letters lie in g ∩ h, and
+    #   each path joins two letters of g ^ h, a letter and the basepoint, or
+    #   the basepoint twice.  Shortcutting every path to its end-to-end edge
+    #   and dropping the rest pairs g ^ h, at most n shortcuts in all;
+    # - a passed check gives D(i,k) <= fl(fl(D(i,j) + D(j,k)) + 2^-50 D(i,k)),
+    #   so each shortcut costs at most a factor 1 + 11u, and
+    #   N_D(g ^ h) <= (1 + 11u)^n S;
+    # - so lhs = t[g ^ h] and rhs = fl(t[g] + t[h]) >= (1 - u)(1 - γ_n) S
+    #   give lhs - rhs <= about (13n + 2)u S, 2.0e-14 S at n = 14, and the
+    #   slack fl(tol * big) with big >= rhs is at least about 2^-40 S, more
+    #   than 40 times that.  A product that underflows loses at most
+    #   2^-1075, which matters only where rhs is subnormal, and there every
+    #   sum the pair reads is exact.
+    # Metrics that MetricSpec admits with up to 1e-9 slack need not pass:
+    # merging can spend that slack once per shared letter, past the gate's
+    # own 1e-9, so they go to the scan.
+    d = np.zeros((n + 1, n + 1))
+    d[0, 1:] = d[1:, 0] = singles
+    bits = 1 << np.arange(n)
+    d[1:, 1:] = t[bits[:, None] | bits]
+    np.fill_diagonal(d, 0.0)
+    dist = d.tolist()
+    low = min(n, 4)  # a cheap reject: most other tables differ in their first 16 entries
+    return (
+        np.array_equal(t[: 1 << low], _graev_table(dist, low))
+        and _triangle_failure(d, 2.0**-50) is None
+        and np.array_equal(t, _graev_table(dist, n))
     )
 
 

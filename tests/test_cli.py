@@ -414,6 +414,26 @@ def test_verify_without_the_gate_fails_on_overflowing_norms(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_reduce_accepts_a_metric_whose_distance_sums_overflow(tmp_path, capsys):
+    # Every sum of two distances is inf, a bound no distance exceeds.
+    huge = [[0.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]]
+    norm = write_json(tmp_path / "g.json", {"kind": "graev", "dist": huge})
+    out = tmp_path / "basis.json"
+    assert main(["reduce", "--norm", norm, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [row["norm"] for row in read_json(out)["rows"]] == [1e308, 1e308]
+
+
+def test_reduce_refuses_a_metric_whose_admitted_slack_fails_the_gate(
+    tmp_path, capsys, slack_dist
+):
+    norm = write_json(tmp_path / "g.json", {"kind": "graev", "dist": slack_dist})
+    assert main(["reduce", "--norm", norm, "--out", str(tmp_path / "b.json")]) == 2
+    err = capsys.readouterr().err
+    assert "norm axioms fail (subadditivity) at g=[2, 3], h=[1, 2, 3, 4]" in err
+    assert not (tmp_path / "b.json").exists()
+
+
 @pytest.mark.parametrize("command", ["reduce", "verify"])
 def test_gate_checks_every_generator_up_to_the_exhaustive_bound(tmp_path, capsys, command):
     # Only generators 13 and 14 together overflow, so a gate on the rank-13

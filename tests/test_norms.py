@@ -761,6 +761,75 @@ def test_a_weighted_table_with_one_raised_entry_is_scanned(monkeypatch):
     assert check_norm_axioms(NormOracle(3, table=table)).passed
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.booleans(),
+    st.integers(0, 10**6),
+    st.sampled_from([2.0**-40, 1e-9, 0.25, 0.0]),
+)
+def test_graev_shortcut_reports_what_the_full_scan_does(rank, ties, seed, tol):
+    # A graev table passes the gate without a scan at tol >= 2^-40: the
+    # report must be the one the scan over every pair gives, on log-uniform
+    # metrics and on integer ones whose pairings tie often.
+    rng = rng_from(seed)
+    if ties:
+        spec = small_metric(rank, rng.integers(1, 4, (rank + 1) * rank // 2).tolist())
+    else:
+        spec = random_metric_spec(rng, rank)
+    table = graev_oracle(spec).table()
+    expected = full_scan_axioms(table, tol)
+    report = check_norm_axioms(NormOracle(rank, table=table), tol=tol)
+    assert axiom_outcome(report) == (expected is None, expected, 4**rank)
+
+
+def test_graev_tables_pass_without_a_scan_only_from_the_shortcut_tolerance(monkeypatch):
+    rows = count_window_ends(monkeypatch)
+    graev = graev_oracle(random_metric_spec(rng_from(3, 0), 10))
+    assert check_norm_axioms(graev, tol=2.0**-40).passed
+    assert not rows
+    assert check_norm_axioms(graev, tol=2.0**-41).passed
+    assert rows
+    rows.clear()
+    # a closure table is no graev table: the shortcut declines it
+    assert check_norm_axioms(closure_norm(random_base_table(rng_from(0, 10), 10))).passed
+    assert rows
+
+
+def test_admitted_triangle_slack_is_scanned_and_can_fail_the_gate(monkeypatch, slack_dist):
+    # The table is the graev table of its own metric, whose triangles are
+    # loose by 0.9e-9: a shortcut that allowed that slack would pass it.
+    rows = count_window_ends(monkeypatch)
+    oracle = graev_oracle(MetricSpec(slack_dist))
+    report = check_norm_axioms(oracle, tol=1e-9)
+    assert rows
+    expected = ((2, 3), (1, 2, 3, 4), 1.0000000017991002, 1.0)
+    assert full_scan_axioms(oracle.table(), 1e-9) == expected
+    assert axiom_outcome(report) == (False, expected, 4**4)
+
+
+def test_a_graev_table_with_one_raised_entry_is_scanned(monkeypatch):
+    # {1,2,5} lies above the first four letters and is no distance the
+    # metric is read from, so only the full comparison sends it to the scan.
+    rows = count_window_ends(monkeypatch)
+    table = graev_oracle(small_metric(5, [2] * 15)).table().copy()
+    assert check_norm_axioms(NormOracle(5, table=table)).passed
+    assert not rows
+    table[0b10011] *= 1 + 1e-8
+    report = check_norm_axioms(NormOracle(5, table=table))
+    assert rows
+    assert not report.passed
+    assert report.violation.lhs == table[0b10011]
+
+
+def test_metric_spec_admits_distance_sums_past_the_float_range():
+    # 1e308 + 1e308 overflows to inf, a bound no distance exceeds; a real
+    # failure among huge distances is still reported.
+    MetricSpec([[0.0, 1e308, 1e308], [1e308, 0.0, 1e308], [1e308, 1e308, 0.0]])
+    with pytest.raises(ValueError, match=r"fails at \(1,0,2\)"):
+        MetricSpec([[0.0, 1e307, 1e307], [1e307, 0.0, 1.7e308], [1e307, 1.7e308, 0.0]])
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_weighted_table_equals_scalar_norm(data):
