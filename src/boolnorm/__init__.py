@@ -5,11 +5,8 @@ from .algebra import (
     Element,
     GeneralBasis,
     TriangularBasis,
-    element_from_coordinates,
-    express_in_basis,
     from_support,
     gf2_rank,
-    reduce_word,
     span_elements,
     support,
 )
@@ -18,7 +15,6 @@ from .errors import (
     IndexOutOfRankError,
     InvalidIndexError,
     NanNormError,
-    NotInSpanError,
     RankTooLargeError,
     SearchBoundExceededError,
     SequenceTooShortError,
@@ -52,7 +48,6 @@ from .reduction import (
     RowRecord,
     reduce_basis,
     reduce_basis_report,
-    search_bound,
 )
 from .rebasing import (
     ApproachSequence,
@@ -76,7 +71,6 @@ from .verification import (
     check_null_tail,
     min_separation,
     run_checks,
-    separation_epsilon,
     worst_geometric_ratio,
 )
 

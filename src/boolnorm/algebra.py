@@ -16,7 +16,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import IndexOutOfRankError, NotInSpanError, RankTooLargeError
+from .errors import IndexOutOfRankError, RankTooLargeError
 
 Element = int
 
@@ -63,18 +63,6 @@ def support(g: Element) -> tuple[int, ...]:
     return tuple(out)
 
 
-def reduce_word(letters: Iterable[int]) -> Element:
-    """Element represented by a word: indices with odd multiplicity survive,
-    paired repeats cancel."""
-    mask = 0
-    for i in letters:
-        i = _index(i)
-        if i < 1:
-            raise ValueError(f"generator index must be >= 1, got {i}")
-        mask ^= 1 << (i - 1)
-    return mask
-
-
 @dataclass(frozen=True)
 class TriangularBasis:
     """Basis over the original generators whose row j contains index j and
@@ -113,55 +101,6 @@ class GeneralBasis:
 Basis = Union[TriangularBasis, GeneralBasis]
 
 
-def _reduce(
-    vec: Element, combo: int, pivots: dict[int, tuple[Element, int]]
-) -> tuple[Element, int]:
-    """XOR pivot rows into vec (and their coordinate masks into combo) until
-    its top index has no pivot; returns the residue, 0 when vec is in their
-    span.  A negative mask is refused: its XOR walk would cycle."""
-    if vec < 0:
-        raise ValueError(f"element mask must be nonnegative, got {vec}")
-    while vec:
-        pivot = pivots.get(vec.bit_length())
-        if pivot is None:
-            break
-        vec ^= pivot[0]
-        combo ^= pivot[1]
-    return vec, combo
-
-
-def _pivots(rows: Iterable[Element]) -> dict[int, tuple[Element, int]]:
-    """Gaussian elimination over GF(2): top index -> (reduced row, mask of
-    the row positions summed into it), one entry per independent row."""
-    pivots: dict[int, tuple[Element, int]] = {}
-    for pos, row in enumerate(rows):
-        vec, combo = _reduce(row, 1 << pos, pivots)
-        if vec:
-            pivots[vec.bit_length()] = (vec, combo)
-    return pivots
-
-
-def express_in_basis(g: Element, basis: Basis) -> tuple[int, ...]:
-    """Row positions (1-based, sorted) whose rows sum to g; NotInSpanError
-    when a nonzero residue remains after elimination."""
-    vec, combo = _reduce(g, 0, _pivots(basis.rows))
-    if vec:
-        raise NotInSpanError("element has a residue outside the row span")
-    return support(combo)
-
-
-def element_from_coordinates(basis: Basis, coords: Iterable[int]) -> Element:
-    """Inverse of express_in_basis: XOR of the selected rows."""
-    rows = basis.rows
-    g = 0
-    for pos in coords:
-        pos = _index(pos)
-        if not 1 <= pos <= len(rows):
-            raise ValueError(f"row position {pos} out of range 1..{len(rows)}")
-        g ^= rows[pos - 1]
-    return g
-
-
 def require_memory(nbytes: int, what: str) -> None:
     """Refuse an allocation of nbytes that physical memory could not hold."""
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
@@ -194,5 +133,15 @@ def span_elements(rows: Sequence[Element]) -> np.ndarray:
 
 
 def gf2_rank(rows: Iterable[int]) -> int:
-    """Rank over GF(2) of the given int-mask rows."""
-    return len(_pivots(rows))
+    """Rank over GF(2) of the given int-mask rows: Gaussian elimination,
+    one pivot per independent row, keyed by its top index.  A negative mask
+    is refused: its XOR walk would cycle."""
+    pivots: dict[int, Element] = {}
+    for vec in rows:
+        if vec < 0:
+            raise ValueError(f"element mask must be nonnegative, got {vec}")
+        while vec and vec.bit_length() in pivots:
+            vec ^= pivots[vec.bit_length()]
+        if vec:
+            pivots[vec.bit_length()] = vec
+    return len(pivots)

@@ -9,10 +9,6 @@ class BoolnormError(Exception):
     code = "error"
 
 
-class NotInSpanError(BoolnormError):
-    code = "not-in-span"
-
-
 class StratumRangeError(BoolnormError):
     code = "k-exceeds-rank"
 

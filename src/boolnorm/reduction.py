@@ -7,7 +7,6 @@ support, so reduction is deterministic for any fixed norm.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,19 +16,6 @@ from .errors import NanNormError, SearchBoundExceededError
 from .norms import NormOracle, restrict_oracle
 
 DEFAULT_SEARCH_BOUND = 24
-SEARCH_BOUND_ENV = "BOOLNORM_SEARCH_BOUND"
-
-
-def search_bound() -> int:
-    """Effective coset search bound: the BOOLNORM_SEARCH_BOUND environment
-    variable, else the default."""
-    env = os.environ.get(SEARCH_BOUND_ENV)
-    if env is None:
-        return DEFAULT_SEARCH_BOUND
-    bound = int(env)
-    if bound < 1:
-        raise ValueError(f"{SEARCH_BOUND_ENV} must be >= 1, got {bound}")
-    return bound
 
 
 @dataclass(frozen=True)
@@ -101,9 +87,8 @@ def reduce_basis_report(
         raise ValueError("rank must be >= 1")
     if rank > oracle.rank:
         raise ValueError(f"norm oracle covers rank {oracle.rank}, need {rank}")
-    limit = search_bound()
-    if rank > limit:
-        raise SearchBoundExceededError(f"rank {rank} exceeds search bound {limit}")
+    if rank > DEFAULT_SEARCH_BOUND:
+        raise SearchBoundExceededError(f"rank {rank} exceeds search bound {DEFAULT_SEARCH_BOUND}")
     table = restrict_oracle(oracle, rank).table()
     # The row cosets partition the nonzero masks, so both searches read
     # every entry but the zero element's; NaN compares false both ways, so

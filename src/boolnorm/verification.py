@@ -176,24 +176,6 @@ def worst_geometric_ratio(basis: Basis, oracle: NormOracle) -> float:
     return _ratio(_coordinate_view(basis, oracle))
 
 
-def separation_epsilon(coord_set: Iterable[int], basis: Basis, oracle: NormOracle) -> float:
-    """Separation radius of a nonempty coordinate set: its cheapest letter
-    norm divided by 4**n, n being the set size."""
-    letters = tuple(_index(i) for i in coord_set)
-    if not letters:
-        raise ValueError("coordinate set must be nonempty")
-    rows = basis.rows
-    for t, i in enumerate(letters):
-        if not 1 <= i <= len(rows):
-            raise ValueError(f"coordinate {i} out of range 1..{len(rows)}")
-        if i in letters[:t]:
-            # n counts the letters, so a repeat would shrink the radius
-            raise ValueError(f"duplicate coordinate {i}")
-    # np.min propagates NaN wherever it sits; Python's min would not.
-    cheapest = float(np.min([oracle(rows[i - 1]) for i in letters]))
-    return cheapest / float(4 ** len(letters))
-
-
 def min_separation(basis: Basis, oracle: NormOracle) -> float:
     """Smallest separation radius over all coordinate sets, i.e. the
     cheapest row norm over 4**rank; NaN if any row norm is NaN."""
@@ -268,30 +250,17 @@ def check_closedness(
 
 
 def check_null_tail(
-    basis: Basis,
-    oracle: NormOracle,
-    indices: Iterable[int],
-    *,
-    tol: float = RELATIVE_TOLERANCE,
+    basis: Basis, oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE
 ) -> LemmaReport:
-    """Pairwise tail bound over strictly increasing row indices: the
-    higher-index letter never costs more than the two-letter sum."""
-    idx = tuple(_index(i) for i in indices)
-    rows = basis.rows
-    for a, b in zip(idx, idx[1:]):
-        if a >= b:
-            raise ValueError("indices must be strictly increasing")
-    for i in idx:
-        if not 1 <= i <= len(rows):
-            raise ValueError(f"index {i} out of range 1..{len(rows)}")
-    a, b = np.triu_indices(len(idx), 1)
-    picked = [rows[i - 1] for i in idx]
-    require_int64_masks(picked)
-    sel = np.array(picked, dtype=np.int64)
-    lhs = oracle.values(sel[b])
-    rhs = oracle.values(sel[a] ^ sel[b])
+    """Pairwise tail bound over every pair of rows i < j: the higher-index
+    letter never costs more than the two-letter sum."""
+    require_int64_masks(basis.rows)
+    rows = np.array(basis.rows, dtype=np.int64)
+    a, b = np.triu_indices(rows.size, 1)
+    lhs = oracle.values(rows[b])
+    rhs = oracle.values(rows[a] ^ rows[b])
     violations = tuple(
-        Violation({"i": idx[a[t]], "j": idx[b[t]]}, float(lhs[t]), float(rhs[t]))
+        Violation({"i": int(a[t]) + 1, "j": int(b[t]) + 1}, float(lhs[t]), float(rhs[t]))
         for t in np.flatnonzero(exceeds(lhs, rhs, tol)).tolist()
     )
     return LemmaReport("L4", not violations, a.size, violations)
@@ -324,7 +293,7 @@ def run_checks(
     reports = {}
     for name in names:
         if name == "L4":
-            reports[name] = check_null_tail(basis, oracle, range(1, len(basis.rows) + 1))
+            reports[name] = check_null_tail(basis, oracle)
         else:
             reports[name] = _VIEW_CHECKS[name](view, RELATIVE_TOLERANCE)
     return reports, _ratio(view) if ratio else None

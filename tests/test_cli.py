@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -264,11 +265,20 @@ def test_campaign_with_fixed_norm(tmp_path, norm_a_file):
     assert all(line.split(",")[1] == "closure" for line in body)
 
 
-def test_search_bound_env_var(tmp_path, norm_a_file, monkeypatch):
+def test_search_bound_ignores_the_environment(tmp_path, norm_a_file, monkeypatch, capsys):
+    # No environment variable moves the bound of 24: a rank-2 spec reduces
+    # under a setting of 1, and rank 25 is refused before any table is built.
     monkeypatch.setenv("BOOLNORM_SEARCH_BOUND", "1")
-    assert main(["reduce", "--norm", norm_a_file]) == 2
-    monkeypatch.setenv("BOOLNORM_SEARCH_BOUND", "8")
-    assert main(["reduce", "--norm", norm_a_file]) == 0
+    assert main(["reduce", "--norm", norm_a_file, "--out", str(tmp_path / "b.json")]) == 0
+    norm = write_json(tmp_path / "w25.json", {"kind": "weighted", "weights": [1.0] * 25})
+    tracemalloc.start()
+    try:
+        assert main(["reduce", "--norm", norm]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "error[search-bound-exceeded]" in capsys.readouterr().err
+    assert peak < 1 << 20
 
 
 def test_cli_usage_error_is_exit_2(capsys):
@@ -284,7 +294,7 @@ def test_reduce_prune_matches_plain(tmp_path, norm_a_file):
 
 
 def test_reduce_beyond_physical_memory_is_an_input_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BOOLNORM_SEARCH_BOUND", "40")
+    monkeypatch.setattr("boolnorm.reduction.DEFAULT_SEARCH_BOUND", 40)
     norm = write_json(tmp_path / "w40.json", {"kind": "weighted", "weights": [1.0] * 40})
     assert main(["reduce", "--norm", norm]) == 2
     assert "error[rank-too-large]" in capsys.readouterr().err

@@ -24,7 +24,7 @@ from boolnorm import (
 )
 from boolnorm.instances import random_base_table, random_norm, rng_from
 from boolnorm.norms import closure_norm
-from boolnorm.reduction import DEFAULT_SEARCH_BOUND, _argmin_dense, search_bound
+from boolnorm.reduction import DEFAULT_SEARCH_BOUND, _argmin_dense
 
 
 def argmin_exhaustive(oracle, offset, rows):
@@ -127,27 +127,12 @@ def test_reduction_is_deterministic():
     assert reduce_basis(oracle, 8).rows == reduce_basis(oracle, 8).rows
 
 
-def test_search_bound_enforced(norm_a, monkeypatch):
-    monkeypatch.setenv("BOOLNORM_SEARCH_BOUND", "1")
-    with pytest.raises(SearchBoundExceededError):
-        reduce_basis(norm_a, 2)
-
-
-@pytest.mark.parametrize("override", [0, -3])
-def test_search_bound_override_below_one_is_refused(override, norm_a, monkeypatch):
-    monkeypatch.setenv("BOOLNORM_SEARCH_BOUND", str(override))
-    with pytest.raises(ValueError, match="BOOLNORM_SEARCH_BOUND must be >= 1"):
-        search_bound()
-    with pytest.raises(ValueError):
-        reduce_basis(norm_a, 2)
-
-
-def test_search_bound_env_override(monkeypatch, norm_a):
-    monkeypatch.delenv("BOOLNORM_SEARCH_BOUND", raising=False)
-    assert search_bound() == DEFAULT_SEARCH_BOUND == 24
-    monkeypatch.setenv("BOOLNORM_SEARCH_BOUND", "1")
-    assert search_bound() == 1
-    assert reduce_basis(norm_a, 1).rows == (1,)
+def test_search_bound_enforced():
+    # the bound is refused before any table is built
+    assert DEFAULT_SEARCH_BOUND == 24
+    oracle = weighted_oracle(WeightSpec((1.0,) * 25))
+    with pytest.raises(SearchBoundExceededError, match="rank 25 exceeds search bound 24"):
+        reduce_basis(oracle, 25)
 
 
 def test_rank_validation(norm_a):
@@ -287,7 +272,7 @@ def test_nan_in_the_searched_table_raises(prune):
 
 
 def test_reduce_refuses_tables_beyond_physical_memory(monkeypatch):
-    monkeypatch.setenv("BOOLNORM_SEARCH_BOUND", "40")
+    monkeypatch.setattr("boolnorm.reduction.DEFAULT_SEARCH_BOUND", 40)
     oracle = weighted_oracle(WeightSpec((1.0,) * 40))
     tracemalloc.start()
     try:
