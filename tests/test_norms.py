@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boolnorm import (
@@ -853,6 +853,96 @@ def test_graev_table_equals_scalar_norm(data):
         spec = small_metric(rank, edges)
     expected = [graev_norm(spec, g) for g in range(1 << rank)]
     assert np.array_equal(graev_oracle(spec).table(), expected)
+
+
+def graev_table_reference(dist, m):
+    """The graev table built with a strided view of the remainders at each
+    level and bit 1 through a (-1, 2, 2) view: the layout _graev_table had
+    before its copy and stride-4 split, kept to test them against."""
+    t = np.zeros(1 << m)
+    with np.errstate(over="ignore"):
+        for i in range(m, 0, -1):
+            step = 1 << i
+            rest = t[::step]
+            best = dist[i][0] + rest
+            for p in range(m - i):
+                pairs = rest.reshape(-1, 2, 1 << p)[:, 0, :]
+                with_j = best.reshape(-1, 2, 1 << p)[:, 1, :]
+                np.minimum(with_j, dist[i][i + 1 + p] + pairs, out=with_j)
+            t[step >> 1 :: step] = best
+    return t
+
+
+def huge_metric(rank, edges):
+    """small_metric of edge costs near the top of the float range: path
+    sums past it are inf, as MetricSpec admits."""
+    with np.errstate(over="ignore"):
+        return small_metric(rank, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["random", "ties", "huge"]),
+    st.integers(min_value=1, max_value=14),
+    st.integers(0, 10**6),
+)
+@example("random", 1, 0)  # ranks 1 and 2 never reach the bit-1 split, 3 does
+@example("ties", 2, 0)
+@example("huge", 3, 0)
+def test_graev_table_matches_the_strided_reference_bit_for_bit(kind, m, seed):
+    from boolnorm.norms import _graev_table
+
+    rng = rng_from(seed)
+    n_edges = (m + 1) * m // 2
+    if kind == "random":
+        spec = random_metric_spec(rng, m)
+    elif kind == "ties":
+        spec = small_metric(m, rng.integers(1, 4, n_edges).tolist())
+    else:
+        spec = huge_metric(m, rng.choice([1e307, 1.7e308], n_edges).tolist())
+    table = _graev_table(spec.dist, m)
+    assert table.tobytes() == graev_table_reference(spec.dist, m).tobytes()
+
+
+def test_graev_sums_past_the_float_range_stay_inf_quietly():
+    from boolnorm.norms import _graev_table
+
+    # every pairing of three or more letters sums two 1.7e308 distances
+    spec = huge_metric(4, [1.7e308] * 10)
+    table = _graev_table(spec.dist, 4)
+    assert np.array_equal(np.isinf(table), [bin(g).count("1") >= 3 for g in range(16)])
+    assert table.tobytes() == graev_table_reference(spec.dist, 4).tobytes()
+
+
+# SHA-256 of graev_oracle(random_metric_spec(rng_from(0, 20, 1, i), 20))
+# table bytes, the three graev specs the rank-20 reduce benchmark draws at
+# seed 0, recorded before the build copied each level's remainders and split
+# bit 1 into stride-4 passes.
+GRAEV_TABLE_SHA256 = {
+    0: "d4c14e7e953f7d7eed7813908657ed49703036887dbd2f7d3e02e6b9714aef6e",
+    1: "35445a571bff22b15a09a55d816c60d49bb3ae298f3a2c5fa5a8bd7b20a1a7a6",
+    2: "4ba74a47589224a13c30b291a946689ef0f1f32364a65d14d311fd4f96909d3a",
+}
+
+
+@pytest.mark.parametrize("i", sorted(GRAEV_TABLE_SHA256))
+def test_rank_20_graev_tables_are_pinned(i):
+    table = graev_oracle(random_metric_spec(rng_from(0, 20, 1, i), 20)).table()
+    assert hashlib.sha256(table.tobytes()).hexdigest() == GRAEV_TABLE_SHA256[i]
+
+
+def test_graev_build_peak_stays_within_three_tables():
+    # the copy of each level's remainders adds one half-size array at most
+    from boolnorm.norms import _graev_table
+
+    spec = random_metric_spec(rng_from(0, 16), 16)
+    tracemalloc.start()
+    try:
+        table = _graev_table(spec.dist, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * table.nbytes
 
 
 def per_element_coordinate_values(basis, oracle):
