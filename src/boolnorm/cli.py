@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .algebra import GeneralBasis, TriangularBasis, from_support, support
+from .algebra import GeneralBasis, from_support, support
 from .campaign import CHECK_NAMES, CampaignConfig, run_campaign, write_csv
 from .errors import BoolnormError
 from .instances import NORM_FAMILIES, rng_from
@@ -64,22 +64,16 @@ def _load_oracle(args) -> tuple[NormOracle, int]:
         raise ValueError("rank must be >= 1")
     if rank > oracle.rank:
         raise ValueError(f"norm spec covers rank {oracle.rank}, requested {rank}")
-    return oracle, rank
-
-
-def _axiom_gate(oracle: NormOracle, rank: int, skip: bool) -> None:
-    # Above the exhaustive bound the gate checks the largest checkable
-    # restriction; a restriction of a norm is again a norm.
-    if skip:
-        return
-    check_rank = min(rank, EXHAUSTIVE_RANK_BOUND)
-    report = check_norm_axioms(restrict_oracle(oracle, check_rank))
+    # The axiom gate.  Above the exhaustive bound it checks the largest
+    # checkable restriction; a restriction of a norm is again a norm.
+    report = check_norm_axioms(restrict_oracle(oracle, min(rank, EXHAUSTIVE_RANK_BOUND)))
     if not report.passed:
         v = report.violation
         raise ValueError(
             f"norm axioms fail ({v.axiom}) at g={list(v.g)}, h={None if v.h is None else list(v.h)}: "
             f"{v.lhs} > {v.rhs}"
         )
+    return oracle, rank
 
 
 def _parse_checks(text: str, allowed: tuple[str, ...]) -> tuple[str, ...]:
@@ -101,21 +95,11 @@ def _load_basis_file(path: str, oracle_rank: int):
     if not data:
         # no lemma would evaluate anything on an empty basis, yet all pass
         raise ValueError("basis file must hold at least one row")
-    rows = tuple(from_support(entry, oracle_rank) for entry in data)
-    try:
-        return TriangularBasis(rows)
-    except ValueError:
-        return GeneralBasis(rows)
+    return GeneralBasis(tuple(from_support(entry, oracle_rank) for entry in data))
 
 
 def cmd_reduce(args) -> int:
-    if args.prune and args.skip_axioms:
-        raise ValueError(
-            "--prune cannot be combined with --skip-axioms: the pruned search assumes "
-            "the triangle inequality, which only the axiom gate guarantees"
-        )
     oracle, rank = _load_oracle(args)
-    _axiom_gate(oracle, rank, args.skip_axioms)
     basis, records = reduce_basis_report(oracle, rank, prune=args.prune)
     payload = {
         "rank": rank,
@@ -128,9 +112,8 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    oracle, rank = _load_oracle(args)
     checks = _parse_checks(args.checks, LEMMA_CHECKS)
-    _axiom_gate(oracle, rank, args.skip_axioms)
+    oracle, rank = _load_oracle(args)
     if args.basis is not None:
         basis = _load_basis_file(args.basis, oracle.rank)
     else:
@@ -150,7 +133,6 @@ def cmd_verify(args) -> int:
 
 def cmd_rebase(args) -> int:
     oracle, rank = _load_oracle(args)
-    _axiom_gate(oracle, rank, args.skip_axioms)
     basis = reduce_basis(oracle, rank)
     data = _load_json(args.seq)
     if not isinstance(data, list):
@@ -220,7 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--norm", required=True, help="norm spec JSON file")
         p.add_argument("--rank", type=int, default=None, help="truncation rank (default: norm rank)")
         p.add_argument("--out", default=None, help="output file (default: stdout)")
-        p.add_argument("--skip-axioms", action="store_true", help="skip the norm axiom gate")
 
     p_reduce = sub.add_parser("reduce", help="build the norm-minimizing basis")
     common(p_reduce)

@@ -348,6 +348,13 @@ def graev_norm(spec: MetricSpec, g: Element) -> float:
     letter may instead pair with the basepoint 0 (extra basepoint pairs are
     free)."""
     _require_in_rank(g, spec.rank)
+    # The memo holds one entry per remainder the recursion reaches, F(s + 2)
+    # of them for s letters (Fibonacci), at up to about 144 bytes each.
+    s = g.bit_count()
+    fib, fib_next = 0, 1
+    for _ in range(s + 2):
+        fib, fib_next = fib_next, fib + fib_next
+    require_memory(144 * fib, f"the pairing DP over {s} letters")
     return _pairing_cost(spec.dist, g, {0: 0.0})
 
 

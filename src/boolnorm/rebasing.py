@@ -78,8 +78,8 @@ def normalize_sequence(
     Steps, in order: make every term's size odd by adding one cheap unused
     letter (terms with no letter available are dropped); keep the greedy
     subsequence with strictly increasing top index starting at >= 2; replace
-    the first survivor by the single letter at its top index; drop
-    duplicates.  Fails when fewer than two terms survive.
+    the first survivor by the single letter at its top index.  Fails when
+    fewer than two terms survive.
     """
     rank = len(basis.rows)
     if not raw_terms:
@@ -101,16 +101,13 @@ def normalize_sequence(
     last_f = 1
     for t in fixed:
         f = t.bit_length()
-        if f > last_f and f >= 2:
+        if f > last_f:
             kept.append(t)
             last_f = f
-    if kept:
-        kept[0] = 1 << (kept[0].bit_length() - 1)
-    seen: set[int] = set()
-    terms = [t for t in kept if not (t in seen or seen.add(t))]
-    if len(terms) < 2:
-        raise UnusableSequenceError(f"only {len(terms)} usable term(s) survive normalization")
-    return ApproachSequence(tuple(terms))
+    if len(kept) < 2:
+        raise UnusableSequenceError(f"only {len(kept)} usable term(s) survive normalization")
+    kept[0] = 1 << (kept[0].bit_length() - 1)
+    return ApproachSequence(tuple(kept))
 
 
 def f_iterates(seq: ApproachSequence, rank: int) -> list[int]:

@@ -322,6 +322,20 @@ def test_verify_basis_rows_at_high_generators_of_a_large_spec(tmp_path):
     assert read_json(report)["pass"] is True
 
 
+def test_graev_rows_whose_pairing_dp_exceeds_memory_are_refused(tmp_path, capsys):
+    # Row 2 holds 59 letters above the gated rank, so it is evaluated alone;
+    # its pairing memo would need F(61) entries, about 3.6e14 bytes.
+    dist = [[float(i != j) for j in range(61)] for i in range(61)]
+    norm = write_json(tmp_path / "g60.json", {"kind": "graev", "dist": dist})
+    basis = write_json(tmp_path / "b.json", [[1], list(range(2, 61))])
+    out = tmp_path / "report.json"
+    args = ["verify", "--norm", norm, "--rank", "2", "--basis", basis, "--checks", "L4"]
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error[rank-too-large]: the pairing DP over 59 letters" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("checks", ["L4", "L0iii"])
 def test_verify_refuses_basis_rows_above_generator_63(tmp_path, capsys, checks):
     norm = write_json(tmp_path / "w64.json", {"kind": "weighted", "weights": [1.0] * 64})
@@ -406,22 +420,35 @@ def test_closure_base_must_be_an_object(tmp_path, capsys):
     assert "closure base must be a JSON object" in capsys.readouterr().err
 
 
-def test_reduce_prune_refuses_to_skip_the_axiom_gate(tmp_path, norm_a_file, capsys):
-    args = ["reduce", "--norm", norm_a_file, "--prune", "--skip-axioms"]
-    assert main(args + ["--out", str(tmp_path / "b.json")]) == 2
-    assert "triangle inequality" in capsys.readouterr().err
-    assert not (tmp_path / "b.json").exists()
+@pytest.mark.parametrize("command", ["reduce", "verify", "rebase"])
+def test_the_axiom_gate_cannot_be_skipped(tmp_path, norm_a_file, capsys, command):
+    seq = write_json(tmp_path / "seq.json", [[1], [1, 2]])
+    args = [command, "--norm", norm_a_file, "--skip-axioms", "--out", str(tmp_path / "o.json")]
+    if command == "rebase":
+        args += ["--seq", seq]
+    assert main(args) == 2
+    assert "unrecognized arguments: --skip-axioms" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_verify_without_the_gate_fails_on_overflowing_norms(tmp_path, capsys):
-    """Weights of 1e308 are finite, but the norm of {1,2} overflows to inf;
-    with the gate skipped every lemma must see it and fail."""
+    """Weights of 1e308 are finite, but the norm of {15,16} overflows to inf.
+    The gate refuses the spec at its own rank; rows above the gated rank
+    reach the checkers, and every lemma must see the inf and fail."""
     norm = write_json(tmp_path / "huge.json", {"kind": "weighted", "weights": [1e308, 1e308]})
-    out = tmp_path / "report.json"
-    assert main(["verify", "--norm", norm, "--skip-axioms", "--out", str(out)]) == 1
-    assert not any(rep["pass"] for rep in read_json(out)["checks"].values())
     assert main(["verify", "--norm", norm]) == 2
     assert "finite" in capsys.readouterr().err
+    weights = [1.0] * 14 + [1e308, 1e308]
+    norm = write_json(tmp_path / "w16.json", {"kind": "weighted", "weights": weights})
+    basis = write_json(tmp_path / "b.json", [[15], [16]])
+    out = tmp_path / "report.json"
+    args = ["verify", "--norm", norm, "--rank", "2", "--basis", basis, "--out", str(out)]
+    assert main(args) == 1
+    assert capsys.readouterr().err == ""
+    checks = read_json(out)["checks"]
+    assert not any(rep["pass"] for rep in checks.values())
+    counts = {name: len(rep["violations"]) for name, rep in checks.items()}
+    assert counts == {"L0iii": 1, "L1": 2, "L2": 2, "L3": 1, "L4": 1}
 
 
 def test_reduce_accepts_a_metric_whose_distance_sums_overflow(tmp_path, capsys):
