@@ -9,6 +9,7 @@ equality is element equality.
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 from dataclasses import dataclass
@@ -101,9 +102,15 @@ class GeneralBasis:
 Basis = Union[TriangularBasis, GeneralBasis]
 
 
+@functools.cache
+def _physical_memory() -> int:
+    # Read once per process: graev_norm asks on every scalar evaluation.
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def require_memory(nbytes: int, what: str) -> None:
     """Refuse an allocation of nbytes that physical memory could not hold."""
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    physical = _physical_memory()
     if nbytes > physical:
         raise RankTooLargeError(
             f"{what} needs {nbytes} bytes, physical memory is {physical} bytes"

@@ -64,16 +64,21 @@ def _load_oracle(args) -> tuple[NormOracle, int]:
         raise ValueError("rank must be >= 1")
     if rank > oracle.rank:
         raise ValueError(f"norm spec covers rank {oracle.rank}, requested {rank}")
-    # The axiom gate.  Above the exhaustive bound it checks the largest
-    # checkable restriction; a restriction of a norm is again a norm.
-    report = check_norm_axioms(restrict_oracle(oracle, min(rank, EXHAUSTIVE_RANK_BOUND)))
+    # Above the exhaustive bound the gate checks the largest checkable
+    # restriction; a restriction of a norm is again a norm.
+    _require_axioms(restrict_oracle(oracle, min(rank, EXHAUSTIVE_RANK_BOUND)))
+    return oracle, rank
+
+
+def _require_axioms(oracle: NormOracle) -> None:
+    """The axiom gate: refuse a spec that is not a norm on this truncation."""
+    report = check_norm_axioms(oracle)
     if not report.passed:
         v = report.violation
         raise ValueError(
             f"norm axioms fail ({v.axiom}) at g={list(v.g)}, h={None if v.h is None else list(v.h)}: "
             f"{v.lhs} > {v.rhs}"
         )
-    return oracle, rank
 
 
 def _parse_checks(text: str, allowed: tuple[str, ...]) -> tuple[str, ...]:
@@ -181,6 +186,10 @@ def cmd_campaign(args) -> int:
         seed=args.seed,
         threads=args.threads,
     )
+    if norm is not None:
+        # The config has checked the rank (at most the exhaustive bound),
+        # and every trial reads only this restriction.
+        _require_axioms(restrict_oracle(norm, cfg.rank))
     rows, summary = run_campaign(cfg)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_csv(rows, fh)

@@ -155,9 +155,16 @@ class BaseCostTable:
         # A rank-r table has 2**r - 1 entries, so no valid key names an
         # index above this bound.
         bound = len(mapping).bit_length()
+        keys = _support_keys(bound)
+        if list(mapping) == keys[1:]:
+            # to_mapping's own key order names every nonzero mask once, in
+            # mask order, so the values fill the table as they come.
+            costs = np.zeros(1 << bound)
+            costs[1:] = np.fromiter(mapping.values(), float, len(mapping))
+            return cls(bound, costs)
         # Keys spelled the way to_mapping writes them are looked up; any
         # other spelling is parsed, with the same result or error.
-        canonical = {key: mask for mask, key in enumerate(_support_keys(bound))}
+        canonical = {key: mask for mask, key in enumerate(keys)}
         entries: dict[int, float] = {}
         for key, cost in mapping.items():
             mask = canonical.get(key)
@@ -422,6 +429,9 @@ def closure_norm(base: BaseCostTable) -> NormOracle:
     live label, and above every final one since costs are positive, so it
     changes nothing.  The pass stops at the first label whose cheapest
     extension reaches top.
+
+    The next label is the argmin of one array kept alongside the values,
+    inf on final labels, so choosing it allocates no 2**n temporary.
     """
     n = base.rank
     if n > EXHAUSTIVE_RANK_BOUND:
@@ -438,22 +448,29 @@ def closure_norm(base: BaseCostTable) -> NormOracle:
     # A Python float: a sum with it past the float range is inf, which
     # stops the pass, without a numpy overflow warning.
     cheapest = ascending.item(0)
-    # inf once a label is final, so the argmin of dist + done skips final
-    # labels; positive finite costs keep every dist finite.
-    done = np.zeros(size)
+    # dist on live labels and inf on final ones, so its argmin is the next
+    # label; positive finite costs keep every dist finite.
+    live = dist.copy()
     for k in range(size):
         if not k % 32:
             # Values only fall and labels only become final, so a stale top
             # is still at or above every live label.
-            top = (dist - done).max()
-        u = int((dist + done).argmin())
+            top = live.max(where=live < np.inf, initial=-np.inf)
+        u = int(live.argmin())
         du = dist.item(u)
         if du + cheapest >= top:
             break
-        done[u] = np.inf
+        live[u] = np.inf
         m = _window_end(ascending, du, top)
         targets = parts[:m] ^ u
-        dist[targets] = np.minimum(dist[targets], du + ascending[:m])
+        cand = du + ascending[:m]
+        # Only strict improvements are written, to both arrays.  No final
+        # label improves, so none comes back to life: labels are finalized
+        # in nondecreasing order, so a final target's value is at most du,
+        # and fl(du + c) >= du for c > 0.
+        better = cand < dist[targets]
+        targets = targets[better]
+        dist[targets] = live[targets] = cand[better]
     return NormOracle(n, table=dist, kind="closure")
 
 
@@ -676,6 +693,8 @@ def _numbers(values, what: str) -> tuple:
     # float() would read true as 1.0 and "2.5" as 2.5; a spec holds JSON
     # numbers only, as algebra._index holds indices to JSON integers.
     values = tuple(values)
+    if all(type(x) is float for x in values):  # what json.load gives a spec_to_json spec
+        return values
     for x in values:
         if isinstance(x, (bool, str)):
             raise TypeError(f"{what} must be a number, got {x!r}")

@@ -521,6 +521,17 @@ def test_campaign_refuses_a_fixed_norm_below_its_rank(tmp_path, norm_a_file, cap
     assert "norm covers rank 2, campaign needs 3" in capsys.readouterr().err
 
 
+def test_campaign_gates_a_fixed_norm(tmp_path, capsys):
+    # The norm of {1,2} overflows to inf: the gate refuses the spec, as
+    # verify does, and no trial runs.
+    norm = write_json(tmp_path / "huge.json", {"kind": "weighted", "weights": [1e308, 1e308]})
+    out = tmp_path / "t.csv"
+    args = ["campaign", "--rank", "2", "--trials", "2", "--norm", norm, "--out", str(out)]
+    assert main(args) == 2
+    assert "norm axioms fail (finite) at g=[1, 2]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_campaign_summary_minimum_propagates_nan(monkeypatch):
     from boolnorm import campaign
 

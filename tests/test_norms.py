@@ -238,7 +238,8 @@ def test_closure_axioms_pass():
 
 
 # SHA-256 of closure_norm(random_base_table(rng_from(seed, rank), rank))
-# table bytes, recorded before the label-setting loop dropped np.where: the
+# table bytes, recorded before the label-setting loop dropped np.where (the
+# rank-14 entry before it took the argmin over live labels only): the
 # order labels are finalized in decides every float sum, so a change to the
 # choice of u shows here.
 CLOSURE_TABLE_SHA256 = {
@@ -251,6 +252,7 @@ CLOSURE_TABLE_SHA256 = {
     (0, 10): "7c130036b1e224cab55cbf50bbde2b29051dc79b9a9c35bc067c5f2fb07e3830",
     (1, 10): "66ebbed38c8273e437cddbae280c9fd42192d5440739141fa4ea22dd6c86cebc",
     (2, 10): "394ae2f6fe6f04ba148f3d49de957d8bd0a98a052bd3db5a28df7faf35eb3330",
+    (0, 14): "0c1ae3508f28e20faf773177861f3fdada6b182a71b27c7eb6dbec6f94874e0f",
 }
 
 
@@ -262,7 +264,7 @@ def test_closure_tables_are_pinned(seed, rank):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=10),
     st.sampled_from(COST_FAMILIES),
     st.integers(0, 10**6),
 )
@@ -458,16 +460,30 @@ def respell(indices, rng):
     return ",".join(parts)
 
 
-@settings(max_examples=60, deadline=None)
+# Values a spec may hold in place of a float cost, each drawn alone; the
+# empty draw leaves every cost a float.
+BAD_COSTS = [(), (True,), ("2.5",), (None,), (1,), (10**400,), (np.nan,), (-1.0,), (0.0,)]
+
+
+@settings(max_examples=100, deadline=None)
 @given(
     rank=st.integers(min_value=1, max_value=8),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
+    shuffled=st.booleans(),
     respelled=st.sampled_from([0.0, 0.1, 1.0]),
     corruption=st.sampled_from([None, "zero", "index zero", "duplicate", "out of rank", "1.5"]),
+    bad_cost=st.sampled_from(BAD_COSTS),
 )
-def test_from_mapping_matches_the_reference_parser(rank, seed, respelled, corruption):
+def test_from_mapping_matches_the_reference_parser(
+    rank, seed, shuffled, respelled, corruption, bad_cost
+):
+    # Unshuffled and unrespelled, the keys come in to_mapping's order.
     rng = np.random.default_rng(seed)
-    masks = rng.permutation(np.arange(1, 1 << rank)).tolist()
+    masks = list(range(1, 1 << rank))
+    if shuffled:
+        masks = rng.permutation(masks).tolist()
+    else:
+        respelled = 0.0
     keys = [
         respell(support(m), rng) if rng.random() < respelled else ",".join(map(str, support(m)))
         for m in masks
@@ -483,13 +499,54 @@ def test_from_mapping_matches_the_reference_parser(rank, seed, respelled, corrup
             "1.5": "1.5",
         }[corruption]
     costs = rng.uniform(0.25, 4.0, len(keys)).tolist()
+    for cost in bad_cost:
+        costs[int(rng.integers(len(costs)))] = cost
     # A corrupted key can coincide with another; both parsers then see
     # the same shorter mapping.
     mapping = dict(zip(keys, costs))
     want = parse_outcome(reference_from_mapping, mapping)
     assert parse_outcome(BaseCostTable.from_mapping, mapping) == want
-    if corruption is None:  # every key names its mask, however spelled
+    if corruption is None and not bad_cost:  # every key names its mask, however spelled
         assert want == [0.0] + [c for _, c in sorted(zip(masks, costs))]
+
+
+def reference_numbers(values, what):
+    """Reference: parse_norm_spec's check that a spec holds JSON numbers,
+    value by value, as before float lists were read in one pass."""
+    values = tuple(values)
+    for x in values:
+        if isinstance(x, (bool, str)):
+            raise TypeError(f"{what} must be a number, got {x!r}")
+        try:
+            float(x)
+        except OverflowError:
+            raise ValueError(
+                f"{what} must fit in a float, got an integer of {len(str(abs(x)))} digits"
+            ) from None
+    return values
+
+
+def reference_closure_spec(data):
+    reference_numbers(data["base"].values(), "cost")
+    return reference_from_mapping(data["base"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rank=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    bad_cost=st.sampled_from(BAD_COSTS),
+)
+def test_canonical_closure_spec_reads_as_the_two_pass_reference(rank, seed, bad_cost):
+    rng = np.random.default_rng(seed)
+    data = spec_to_json(random_base_table(rng, rank))
+    keys = list(data["base"])
+    for cost in bad_cost:
+        data["base"][keys[int(rng.integers(len(keys)))]] = cost
+    want = parse_outcome(reference_closure_spec, data)
+    assert parse_outcome(parse_norm_spec, data) == want
+    if not bad_cost:
+        assert want == [0.0, *data["base"].values()]
 
 
 def test_to_mapping_writes_each_support_in_mask_order():
@@ -1033,6 +1090,18 @@ def test_out_of_rank_and_negative_masks_raise():
             weighted_norm(spec, g)
         with pytest.raises(IndexOutOfRankError):
             graev_norm(MetricSpec(((0.0, 1.0), (1.0, 0.0))), g)
+
+
+def test_physical_memory_is_read_once_per_process(monkeypatch):
+    import os
+
+    spec = random_metric_spec(rng_from(3), 3)
+    g = from_support([1, 2, 3])
+    value = graev_norm(spec, g)
+    calls, sysconf = [], os.sysconf
+    monkeypatch.setattr(os, "sysconf", lambda name: calls.append(name) or sysconf(name))
+    assert all(graev_norm(spec, g) == value for _ in range(1000))
+    assert calls == []
 
 
 def test_dense_table_refuses_more_than_physical_memory():
