@@ -432,6 +432,10 @@ def closure_norm(base: BaseCostTable) -> NormOracle:
 
     The next label is the argmin of one array kept alongside the values,
     inf on final labels, so choosing it allocates no 2**n temporary.
+
+    The table is a norm by proof: it passes check_norm_axioms at any
+    tol >= about 2^-37 up to the rank bound, so the CLI gate passes a
+    closure spec without the scan (the proof is at cli._require_axioms).
     """
     n = base.rank
     if n > EXHAUSTIVE_RANK_BOUND:

@@ -532,6 +532,32 @@ def test_campaign_gates_a_fixed_norm(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["closure", "weighted", "graev"])
+@pytest.mark.parametrize("command", ["reduce", "verify", "rebase", "campaign"])
+def test_the_gate_scans_weighted_and_graev_specs_only(tmp_path, monkeypatch, command, kind):
+    # closure_norm's tables are norms by proof (at cli._require_axioms), so
+    # the gate passes a closure spec without the scan.
+    import boolnorm.cli as cli
+
+    from boolnorm.instances import random_norm, rng_from
+    from boolnorm.norms import spec_to_json
+
+    spec = random_norm(rng_from(0, 4), 4, kind)[0]
+    norm = write_json(tmp_path / "norm.json", spec_to_json(spec))
+    seq = write_json(tmp_path / "seq.json", [[2], [1, 2, 3], [1, 3, 4]])
+    scanned, scan = [], cli.check_norm_axioms
+    monkeypatch.setattr(cli, "check_norm_axioms", lambda o: scanned.append(o) or scan(o))
+    out = ["--out", str(tmp_path / "out")]
+    args = {
+        "reduce": ["reduce", "--norm", norm],
+        "verify": ["verify", "--norm", norm],
+        "rebase": ["rebase", "--norm", norm, "--seq", seq],
+        "campaign": ["campaign", "--rank", "4", "--trials", "2", "--norm", norm],
+    }[command]
+    assert main(args + out) == 0
+    assert len(scanned) == (0 if kind == "closure" else 1)
+
+
 def test_campaign_summary_minimum_propagates_nan(monkeypatch):
     from boolnorm import campaign
 

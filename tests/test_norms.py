@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from boolnorm import (
     EXHAUSTIVE_RANK_BOUND,
+    RELATIVE_TOLERANCE,
     AxiomViolation,
     BaseCostTable,
     GeneralBasis,
@@ -89,8 +91,11 @@ def label_setting_closure(costs):
 
 
 def cost_family(rng, family, count):
-    """Positive costs that stress the value window: ties, exact binary
-    fractions and values far below 1."""
+    """Positive costs that stress the value window (COST_FAMILIES: ties,
+    exact binary fractions and values far below 1) and the rounding in the
+    closure proof (PROOF_FAMILIES: also thirds, 600 decades, values whose
+    sums overflow, subnormal multiples, an entrywise mix and log-uniform
+    values)."""
     if family == "ties":
         return rng.integers(1, 4, count).astype(float)
     if family == "ones":
@@ -99,10 +104,24 @@ def cost_family(rng, family, count):
         return rng.integers(1, 257, count) / 64
     if family == "quarters":
         return 0.25 ** rng.integers(0, 8, count)
-    return np.exp(rng.uniform(np.log(1e-310), np.log(1e-290), count))  # tiny
+    if family == "tiny":
+        return np.exp(rng.uniform(np.log(1e-310), np.log(1e-290), count))
+    if family == "thirds":
+        return rng.integers(1, 31, count) / 3
+    if family == "wide":
+        return np.exp(rng.uniform(np.log(1e-300), np.log(1e300), count))
+    if family == "huge":
+        return np.finfo(float).max * rng.uniform(0.5, 1.0, count)
+    if family == "subnormal":
+        return rng.integers(1, 64, count) * 5e-324
+    if family == "mixed":
+        drawn = np.stack([cost_family(rng, f, count) for f in PROOF_FAMILIES[:5]])
+        return drawn[rng.integers(0, 5, count), np.arange(count)]
+    return np.exp(rng.uniform(np.log(1e-3), np.log(1e3), count))  # log-uniform
 
 
 COST_FAMILIES = ["ties", "ones", "64ths", "quarters", "tiny"]
+PROOF_FAMILIES = ["ties", "thirds", "wide", "huge", "subnormal", "mixed", "log-uniform"]
 
 
 def test_weighted_examples():
@@ -235,6 +254,45 @@ def test_closure_axioms_pass():
     for i in range(5):
         base = random_base_table(rng_from(606, i), 6)
         assert check_norm_axioms(closure_norm(base)).passed
+
+
+# The least tolerance the closure proof at cli._require_axioms covers up to
+# the rank bound.
+PROOF_FLOOR = 2.0**-37
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.sampled_from(PROOF_FAMILIES),
+    st.integers(0, 10**6),
+)
+def test_closure_tables_pass_the_axiom_scan_as_the_proof_says(rank, family, seed):
+    costs = cost_family(rng_from(seed), family, (1 << rank) - 1)
+    oracle = closure_norm(BaseCostTable(rank, np.concatenate([[0.0], costs])))
+    assert check_norm_axioms(oracle, tol=RELATIVE_TOLERANCE).passed
+    assert check_norm_axioms(oracle, tol=PROOF_FLOOR).passed
+
+
+def test_closure_tables_need_the_proof_floor():
+    # At tol 0 a closure table can fail by an ulp: t[{2,3,4}] folds its
+    # parts in another order than t[{1}] + t[{1,2,3,4}] adds.
+    costs = np.array([0, 10, 1, 1, 16, 11, 25, 5, 1, 5, 20, 20, 29, 10, 14, 19]) / 3
+    oracle = closure_norm(BaseCostTable(4, costs))
+    expected = ((1,), (1, 2, 3, 4), 2.666666666666667, 2.6666666666666665)
+    assert axiom_outcome(check_norm_axioms(oracle, tol=0.0)) == (False, expected, 4**4)
+    assert check_norm_axioms(oracle, tol=PROOF_FLOOR).passed
+
+
+def test_the_closure_proof_covers_the_rank_bound():
+    # The proof bounds lhs by rhs ((1 + u) / (1 - u))^(2^n - 1); raising
+    # closure_norm's rank cap must not push that factor near the tolerance
+    # the CLI gates at.
+    u = 2.0**-53
+    parts = (1 << EXHAUSTIVE_RANK_BOUND) - 1
+    factor = math.expm1(parts * (math.log1p(u) - math.log1p(-u)))
+    assert factor < RELATIVE_TOLERANCE / 100
+    assert factor < PROOF_FLOOR
 
 
 # SHA-256 of closure_norm(random_base_table(rng_from(seed, rank), rank))
