@@ -77,10 +77,12 @@ def _require_axioms(spec, oracle: NormOracle, rank: int) -> None:
         # any tol >= about 2^-37, so it passes by proof.  With u = 2^-53:
         # - t[0] = 0, and 0 < cheapest <= t[g] <= costs[g] < inf for g != 0,
         #   since a BaseCostTable admits only positive finite costs;
-        # - fl(a + c) is nondecreasing in a and at least a, so label-setting
-        #   gives t[v] as the least left-fold rounded sum over the part
-        #   sequences reaching v, attained by a simple path: k <= 2^n - 1
-        #   parts (the windowed pass equals the full one, a tested fact);
+        # - fl(a + c) is nondecreasing in a and at least a, so t[v] is the
+        #   least left-fold rounded sum over the part sequences reaching v,
+        #   the relaxation's one fixed point whatever order labels are
+        #   finalized in (closure_norm equals the one-label-at-a-time full
+        #   pass, a tested fact), attained by a simple path: k <= 2^n - 1
+        #   parts;
         # - g's optimal sequence (fold t[g]) followed by h's parts q_1..q_k
         #   reaches g ^ h, so lhs = t[g ^ h] <= (t[g] + Σq)(1 + u)^k; and
         #   t[h] >= Σq (1 - u)^(k-1), rhs = fl(t[g] + t[h]) >=

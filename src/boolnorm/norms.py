@@ -422,16 +422,22 @@ def closure_norm(base: BaseCostTable) -> NormOracle:
 
     Label-setting relaxation: elements are finalized in increasing value
     order and every single-part extension of a finalized element is relaxed.
-    Positive costs make the pass exact.
+    Positive costs make the pass exact.  The table is the least left-fold
+    rounded sum over the part sequences reaching each element, the one
+    fixed point of the relaxation, so every finalization order that reaches
+    it gives the same floats.
 
-    Only extensions priced below top, the largest value of a label not yet
-    final, are relaxed: a candidate at or above top is at or above every
-    live label, and above every final one since costs are positive, so it
-    changes nothing.  The pass stops at the first label whose cheapest
-    extension reaches top.
+    Labels are finalized a bucket at a time.  With lo the least value not
+    yet final, every candidate from a live label is at least
+    fl(lo + cheapest part), so no live label at or below that sum can still
+    improve: all of them are final at once.  The bucket relaxes in
+    ascending order, in chunks of 1, 2, 4, ... rows of at most 2**n
+    candidates in all, each one scatter through np.minimum.at.
 
-    The next label is the argmin of one array kept alongside the values,
-    inf on final labels, so choosing it allocates no 2**n temporary.
+    Only extensions priced below top, the largest value in the table, are
+    relaxed: a candidate at or above top changes nothing.  A chunk's window
+    is its first row's, the largest, and top is read afresh after each
+    chunk.  The pass stops once lo + cheapest reaches top.
 
     The table is a norm by proof: it passes check_norm_axioms at any
     tol >= about 2^-37 up to the rank bound, so the CLI gate passes a
@@ -443,38 +449,36 @@ def closure_norm(base: BaseCostTable) -> NormOracle:
             f"closure needs 2**{n} labels, bound is 2**{EXHAUSTIVE_RANK_BOUND}"
         )
     size = 1 << n
-    step = base.costs.copy()
-    step[0] = np.inf  # the zero element is not a usable part
-    dist = step.copy()
-    dist[0] = 0.0
-    parts = np.argsort(step)
-    ascending = step[parts]
-    # A Python float: a sum with it past the float range is inf, which
+    dist = base.costs.copy()
+    parts = np.argsort(dist[1:]) + 1  # the nonzero elements, cheapest first
+    ascending = dist[parts]
+    # Python floats: a sum with them past the float range is inf, which
     # stops the pass, without a numpy overflow warning.
     cheapest = ascending.item(0)
-    # dist on live labels and inf on final ones, so its argmin is the next
-    # label; positive finite costs keep every dist finite.
-    live = dist.copy()
-    for k in range(size):
-        if not k % 32:
-            # Values only fall and labels only become final, so a stale top
-            # is still at or above every live label.
-            top = live.max(where=live < np.inf, initial=-np.inf)
-        u = int(live.argmin())
-        du = dist.item(u)
-        if du + cheapest >= top:
-            break
-        live[u] = np.inf
-        m = _window_end(ascending, du, top)
-        targets = parts[:m] ^ u
-        cand = du + ascending[:m]
-        # Only strict improvements are written, to both arrays.  No final
-        # label improves, so none comes back to life: labels are finalized
-        # in nondecreasing order, so a final target's value is at most du,
-        # and fl(du + c) >= du for c > 0.
-        better = cand < dist[targets]
-        targets = targets[better]
-        dist[targets] = live[targets] = cand[better]
+    top = dist.max().item()
+    # Label 0 is final from the start: its candidates are the costs.
+    live = np.ones(size, dtype=bool)
+    live[0] = False
+    with np.errstate(over="ignore"):  # rows past their window may overflow
+        while True:
+            bar = dist.min(where=live, initial=np.inf).item() + cheapest
+            if bar >= top:
+                break
+            bucket = np.flatnonzero(live & (dist <= bar))
+            live[bucket] = False
+            rows = bucket[np.argsort(dist[bucket])]
+            start, width = 0, 1
+            while start < rows.size:
+                m = _window_end(ascending, dist.item(rows[start]), top)
+                if not m:  # so is every later row's window
+                    break
+                us = rows[start : start + min(width, size // m)]
+                # A row past its own window adds candidates at or above top.
+                targets = us[:, None] ^ parts[:m]
+                np.minimum.at(dist, targets.ravel(), (dist[us, None] + ascending[:m]).ravel())
+                top = dist.max().item()
+                start += us.size
+                width *= 2
     return NormOracle(n, table=dist, kind="closure")
 
 

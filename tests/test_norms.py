@@ -74,19 +74,22 @@ def relaxation_fixpoint(costs, rank):
 
 
 def label_setting_closure(costs):
-    """Reference: the closure pass without the value window.  Labels are
-    finalized in the same order, and each relaxes every part, so the float
-    sums are the same and the table must match bit for bit."""
+    """Reference: the closure pass without the value window or buckets.  It
+    finalizes one label at a time and relaxes every part from it.  Both
+    passes reach the relaxation's one fixed point, the least left-fold
+    rounded sum over the part sequences reaching each element, whatever
+    order labels are finalized in, so the tables must match bit for bit."""
     step = np.asarray(costs, dtype=float).copy()
     step[0] = np.inf
     dist = step.copy()
     dist[0] = 0.0
     done = np.zeros(step.size)
     idx = np.arange(step.size)
-    for _ in range(step.size):
-        u = int((dist + done).argmin())
-        done[u] = np.inf
-        np.minimum(dist, dist[u] + step[idx ^ u], out=dist)
+    with np.errstate(over="ignore"):  # sums past the float range are inf
+        for _ in range(step.size):
+            u = int((dist + done).argmin())
+            done[u] = np.inf
+            np.minimum(dist, dist[u] + step[idx ^ u], out=dist)
     return dist
 
 
@@ -122,6 +125,7 @@ def cost_family(rng, family, count):
 
 COST_FAMILIES = ["ties", "ones", "64ths", "quarters", "tiny"]
 PROOF_FAMILIES = ["ties", "thirds", "wide", "huge", "subnormal", "mixed", "log-uniform"]
+ALL_FAMILIES = sorted(set(COST_FAMILIES + PROOF_FAMILIES))
 
 
 def test_weighted_examples():
@@ -297,9 +301,11 @@ def test_the_closure_proof_covers_the_rank_bound():
 
 # SHA-256 of closure_norm(random_base_table(rng_from(seed, rank), rank))
 # table bytes, recorded before the label-setting loop dropped np.where (the
-# rank-14 entry before it took the argmin over live labels only): the
-# order labels are finalized in decides every float sum, so a change to the
-# choice of u shows here.
+# rank-14 entry before it took the argmin over live labels only) and kept
+# through the bucketed pass.  The table is the relaxation's one fixed
+# point, whatever order labels are finalized in, so a pass that writes a
+# sum no part sequence reaches, or stops short of the fixed point, shows
+# here.
 CLOSURE_TABLE_SHA256 = {
     (0, 4): "82f9690b59bf07a8031ebc2c2ca9ca4f2b6176abfcfb3075394c26de81b309a5",
     (1, 4): "7ee6878f62ec0bb6d218e18de19a43e2a0b97e6dd06af9cc4eec63f386f0f191",
@@ -323,7 +329,7 @@ def test_closure_tables_are_pinned(seed, rank):
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(min_value=1, max_value=10),
-    st.sampled_from(COST_FAMILIES),
+    st.sampled_from(ALL_FAMILIES),
     st.integers(0, 10**6),
 )
 def test_closure_matches_the_unwindowed_pass(rank, family, seed):
@@ -332,8 +338,41 @@ def test_closure_matches_the_unwindowed_pass(rank, family, seed):
     assert table.tobytes() == label_setting_closure(costs).tobytes()
 
 
+@pytest.mark.parametrize("family", ALL_FAMILIES)
+def test_closure_matches_the_unwindowed_pass_at_rank_12(family):
+    # The property above stops at rank 10.  Here the cap of 2**12 candidates
+    # cuts doubling chunks short in every family but ones and huge.
+    costs = np.concatenate([[0.0], cost_family(rng_from(12), family, (1 << 12) - 1)])
+    table = closure_norm(BaseCostTable(12, costs)).table()
+    assert table.tobytes() == label_setting_closure(costs).tobytes()
+
+
+@pytest.mark.parametrize(
+    "costs, closed",
+    [
+        # 1 + 1e-300 rounds to 1: the bucket after {1} holds exactly the
+        # labels at the least live value 1, and the pass still ends.
+        ([0, 1e-300, 1, 1e300, 1, 1e300, 1e300, 1e300], [0, 1e-300, 1, 1, 1, 1, 2, 2]),
+        # The bucket at value 1 holds the labels at 1 and 2.  {1} costs 3
+        # but falls to 2 = t[{2,3,4}] + t[{1,2,3,4}] while that bucket
+        # relaxes, so a bucket one cheapest part wider would relax {1} at 3
+        # and leave {3} at 4, not t[{1}] + t[{1,3}] = 3.
+        (
+            [0, 3, 4, 5, 5, 1, 2, 3, 3, 4, 3, 3, 1, 3, 1, 1],
+            [0, 2, 2, 2, 3, 1, 2, 3, 3, 2, 2, 2, 1, 3, 1, 1],
+        ),
+    ],
+    ids=["cheapest-part-rounds-away", "bucket-ends-one-cheapest-part-up"],
+)
+def test_closure_buckets_end_one_cheapest_part_above_the_least_value(costs, closed):
+    costs = np.array(costs, dtype=float)
+    table = closure_norm(BaseCostTable(len(costs).bit_length() - 1, costs)).table()
+    assert table.tolist() == closed
+    assert table.tobytes() == label_setting_closure(costs).tobytes()
+
+
 def count_window_ends(monkeypatch):
-    """The calls to _window_end: one per closure label relaxed and one per
+    """The calls to _window_end: one per closure chunk relaxed and one per
     axiom row scanned."""
     from boolnorm import norms
 
@@ -344,10 +383,11 @@ def count_window_ends(monkeypatch):
 
 
 def test_value_window_skips_most_of_both_kernels(monkeypatch):
-    # On a rank-10 closure table both kernels stop early.
+    # On a rank-10 closure table both kernels stop early.  The closure
+    # relaxes 30 chunks here; one window per label would take 138.
     calls = count_window_ends(monkeypatch)
     oracle = closure_norm(random_base_table(rng_from(0, 10), 10))
-    assert 0 < len(calls) < 1024 // 4
+    assert 0 < len(calls) < 1024 // 16
     calls.clear()
     assert check_norm_axioms(oracle).passed
     assert 0 < len(calls) < 1024 // 4
