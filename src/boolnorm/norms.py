@@ -20,6 +20,9 @@ from .errors import IndexOutOfRankError, RankTooLargeError
 
 RELATIVE_TOLERANCE = 1e-9
 EXHAUSTIVE_RANK_BOUND = 14
+# Entries per array pass of the L2/L3 pair scans and the triangle check:
+# 64 KiB of float64, under glibc's default 128 KiB mmap threshold.
+_CHUNK = 1 << 13
 
 
 def exceeds(lhs, rhs, tol: float = RELATIVE_TOLERANCE):
@@ -78,18 +81,25 @@ class MetricSpec:
             raise ValueError("metric needs the basepoint plus at least one generator")
         if any(len(row) != m for row in d):
             raise ValueError("distance matrix must be square")
-        for i in range(m):
-            if d[i][i] != 0.0:
+        a = np.array(d)
+        # The first failing entry in row-major order, row i's diagonal before
+        # its columns, and per entry the tests in the order reported here.
+        diagonal = a.diagonal() != 0.0
+        bad_value = ~np.isfinite(a) | (a < 0.0)
+        zero_off = (a == 0.0) & ~np.eye(m, dtype=bool)
+        failed = bad_value | zero_off | (a != a.T)
+        rows = diagonal | failed.any(axis=1)
+        if rows.any():
+            i = int(rows.argmax())
+            if diagonal[i]:
                 raise ValueError(f"dist({i},{i}) must be 0")
-            for j in range(m):
-                x = d[i][j]
-                if not np.isfinite(x) or x < 0.0:
-                    raise ValueError(f"dist({i},{j}) must be a finite nonnegative real")
-                if i != j and x == 0.0:
-                    raise ValueError(f"dist({i},{j}) must be positive off the diagonal")
-                if x != d[j][i]:
-                    raise ValueError(f"dist({i},{j}) != dist({j},{i})")
-        failure = _triangle_failure(np.array(d), RELATIVE_TOLERANCE)
+            j = int(failed[i].argmax())
+            if bad_value[i, j]:
+                raise ValueError(f"dist({i},{j}) must be a finite nonnegative real")
+            if zero_off[i, j]:
+                raise ValueError(f"dist({i},{j}) must be positive off the diagonal")
+            raise ValueError(f"dist({i},{j}) != dist({j},{i})")
+        failure = _triangle_failure(a, RELATIVE_TOLERANCE)
         if failure is not None:
             i, j, k = failure
             raise ValueError(
@@ -105,15 +115,18 @@ class MetricSpec:
 def _triangle_failure(a: np.ndarray, tol: float) -> tuple[int, int, int] | None:
     """The first (i, j, k) in row-major order with d(i,k) > d(i,j) + d(j,k)
     beyond relative slack tol, or None.  A sum past the float range is a
-    bound that no finite distance beats, so it passes."""
+    bound that no finite distance beats, so it passes.  Rows i are read in
+    blocks of max(1, _CHUNK // m**2), so a block holds at most _CHUNK
+    triples unless it is a single row."""
     m = len(a)
-    for i in range(m):
+    step = max(1, _CHUNK // (m * m))
+    for lo in range(0, m, step):
         with np.errstate(over="ignore"):
-            bound = a[i][:, None] + a  # [j, k]: d(i,j) + d(j,k)
-        bad = exceeds(a[i], bound, tol) & (bound < np.inf)
+            bound = a[lo : lo + step, :, None] + a  # [i, j, k]: d(i,j) + d(j,k)
+        bad = exceeds(a[lo : lo + step, None, :], bound, tol) & (bound < np.inf)
         if bad.any():
-            j, k = divmod(int(np.argmax(bad)), m)
-            return i, j, k
+            i, j, k = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            return lo + int(i), int(j), int(k)
     return None
 
 

@@ -985,6 +985,123 @@ def test_metric_spec_admits_distance_sums_past_the_float_range():
         MetricSpec([[0.0, 1e307, 1e307], [1e307, 0.0, 1.7e308], [1e307, 1.7e308, 0.0]])
 
 
+def reference_triangle_failure(a, tol):
+    """One exceeds pass per row i over every (j, k)."""
+    from boolnorm.norms import exceeds
+
+    m = len(a)
+    for i in range(m):
+        with np.errstate(over="ignore"):
+            bound = a[i][:, None] + a  # [j, k]: d(i,j) + d(j,k)
+        bad = exceeds(a[i], bound, tol) & (bound < np.inf)
+        if bad.any():
+            j, k = divmod(int(np.argmax(bad)), m)
+            return i, j, k
+    return None
+
+
+def reference_metric_message(dist):
+    """The message MetricSpec raises for a square matrix of floats, or None,
+    from entry-by-entry loops in row-major order."""
+    d, m = dist, len(dist)
+    for i in range(m):
+        if d[i][i] != 0.0:
+            return f"dist({i},{i}) must be 0"
+        for j in range(m):
+            x = d[i][j]
+            if not math.isfinite(x) or x < 0.0:
+                return f"dist({i},{j}) must be a finite nonnegative real"
+            if i != j and x == 0.0:
+                return f"dist({i},{j}) must be positive off the diagonal"
+            if x != d[j][i]:
+                return f"dist({i},{j}) != dist({j},{i})"
+    failure = reference_triangle_failure(np.array(d), RELATIVE_TOLERANCE)
+    if failure is not None:
+        i, j, k = failure
+        return f"triangle inequality fails at ({i},{j},{k}): {d[i][k]} > {d[i][j]} + {d[j][k]}"
+    return None
+
+
+def draw_metric_matrix(data):
+    """A 2-8 point matrix: symmetric with a zero diagonal, then a few entries
+    overwritten (one side only, or on the diagonal) or moved by an ulp.
+    Values come from a tight metric range, small quarters that often break
+    the triangle inequality, huge values whose sums overflow, and entries
+    that fail validation (NaN, inf, -1, 0)."""
+    m = data.draw(st.integers(min_value=2, max_value=8))
+    value = data.draw(
+        st.sampled_from(
+            [
+                st.integers(min_value=4, max_value=8).map(lambda k: k / 4),
+                st.integers(min_value=1, max_value=8).map(lambda k: k / 4),
+                st.sampled_from([1e308, 1.7e308, 1.0]),
+            ]
+        )
+    )
+    special = st.sampled_from([math.nan, math.inf, -1.0, 0.0, -0.0, 1.0, 1e308, 1.7e308])
+    d = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            d[i, j] = d[j, i] = data.draw(value)
+    cell = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    for (i, j), how in data.draw(
+        st.lists(st.tuples(cell, st.sampled_from(["special", "up", "down"])), max_size=3)
+    ):
+        if how == "special":
+            d[i, j] = data.draw(special)
+        else:
+            d[i, j] = np.nextafter(d[i, j], math.inf if how == "up" else -math.inf)
+    return d.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_metric_validation_matches_the_entry_by_entry_reference(data):
+    """Same exception and message as the reference, and the same first
+    triangle at three tolerances, with blocks of rows that split a 2-8
+    point matrix anywhere (a chunk of 1, 40 or 100 triples) or not at all."""
+    from boolnorm import norms
+
+    dist = draw_metric_matrix(data)
+    want = reference_metric_message(dist)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(norms, "_CHUNK", data.draw(st.sampled_from([1, 40, 100, norms._CHUNK])))
+        if want is None:
+            assert MetricSpec(dist).dist == tuple(map(tuple, dist))
+        else:
+            with pytest.raises(ValueError) as info:
+                MetricSpec(dist)
+            assert type(info.value) is ValueError and str(info.value) == want
+        a = np.array(dist)
+        for tol in (0.0, 1e-9, 2.0**-50):
+            assert norms._triangle_failure(a, tol) == reference_triangle_failure(a, tol), tol
+
+
+def test_triangle_check_of_a_large_metric_holds_no_more_than_one_row():
+    """At 100 points a block is a single row, so the blocked scan's
+    tracemalloc peak stays at the per-row reference's: the same 80 KB
+    buffers, give or take the few bytes of the longer shape records of
+    3-D arrays."""
+    from boolnorm.norms import _CHUNK, _triangle_failure
+
+    rng = np.random.default_rng(24)
+    m = 100
+    assert _CHUNK // (m * m) == 0
+    d = 1.0 + rng.random((m, m))
+    d = np.minimum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    peaks = []
+    for scan in (reference_triangle_failure, _triangle_failure):
+        tracemalloc.start()
+        try:
+            assert scan(d, RELATIVE_TOLERANCE) is None
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] <= peaks[0] + 1024, peaks
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_weighted_table_equals_scalar_norm(data):

@@ -522,8 +522,9 @@ def test_radius_bound_skips_the_pair_scan_of_cleared_words(monkeypatch):
         calls.clear()
         report = verification.run_checks(basis, oracle, [lemma])[0][lemma]
         assert report.passed and report.checked > 0
-        # one pair scan per uncleared word, against 2**8 words in all
-        assert len(calls) < 1 << 7, lemma
+        # one exceeds call per scanned chunk: the few words the radius bound
+        # leaves fit one chunk a stratum
+        assert len(calls) <= len(basis.rows) + 1, lemma
 
 
 def test_checkers_refuse_bases_above_the_exhaustive_bound():
@@ -584,6 +585,29 @@ def test_every_stratum_in_one_call_equals_the_per_stratum_reports(data):
         # NaN != NaN, so compare the JSON text
         got = json.dumps(checker(basis, oracle, tol=tol).to_json())
         assert got == json.dumps(per_stratum_json(checker, basis, oracle, tol))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_strata_split_into_chunks_match_scalar_loops(data, chunk):
+    """With a chunk of 1, 7 or 40 pairs, a stratum's scanned words (up to 10
+    at rank 5, against up to 31 partners) split into several chunks, often
+    with a partial last one, and each report must still be the scalar
+    loops' and the per-stratum calls'."""
+    value = st.one_of(
+        st.integers(min_value=-4, max_value=192).map(lambda k: k / 64),
+        st.integers(min_value=0, max_value=4).map(lambda k: 4.0**-k),
+        st.sampled_from([0.5, 1.0, 2.0, float("nan"), float("inf")]),
+    )
+    basis, oracle = draw_table_instance(data, value)
+    tol = data.draw(st.sampled_from([0.0, 1e-9, -1e-9]))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(verification, "_CHUNK", chunk)
+        assert_strata_match_scalar_loops(basis, oracle, tol)
+        for checker in (check_discreteness, check_closedness):
+            got = json.dumps(checker(basis, oracle, tol=tol).to_json())
+            assert got == json.dumps(per_stratum_json(checker, basis, oracle, tol))
 
 
 def test_tolerance_zero_on_an_infinite_table_warns_of_nothing():
