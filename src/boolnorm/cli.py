@@ -20,7 +20,6 @@ from .errors import BoolnormError
 from .instances import NORM_FAMILIES, rng_from
 from .norms import (
     EXHAUSTIVE_RANK_BOUND,
-    BaseCostTable,
     NormOracle,
     check_norm_axioms,
     coordinate_norm,
@@ -58,40 +57,19 @@ def _emit_json(payload: Mapping, out: str | None) -> None:
 
 
 def _load_oracle(args) -> tuple[NormOracle, int]:
-    spec = parse_norm_spec(_load_json(args.norm))
-    oracle = oracle_for(spec)
+    oracle = oracle_for(parse_norm_spec(_load_json(args.norm)))
     rank = args.rank if args.rank is not None else oracle.rank
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if rank > oracle.rank:
         raise ValueError(f"norm spec covers rank {oracle.rank}, requested {rank}")
-    _require_axioms(spec, oracle, rank)
+    _require_axioms(oracle, rank)
     return oracle, rank
 
 
-def _require_axioms(spec, oracle: NormOracle, rank: int) -> None:
-    """The axiom gate: refuse a spec that is not a norm on the truncation
-    to rank generators.  oracle is oracle_for(spec)."""
-    if isinstance(spec, BaseCostTable):
-        # A closure table t = closure_norm(spec) passes check_norm_axioms at
-        # any tol >= about 2^-37, so it passes by proof.  With u = 2^-53:
-        # - t[0] = 0, and 0 < cheapest <= t[g] <= costs[g] < inf for g != 0,
-        #   since a BaseCostTable admits only positive finite costs;
-        # - fl(a + c) is nondecreasing in a and at least a, so t[v] is the
-        #   least left-fold rounded sum over the part sequences reaching v,
-        #   the relaxation's one fixed point whatever order labels are
-        #   finalized in (closure_norm equals the one-label-at-a-time full
-        #   pass, a tested fact), attained by a simple path: k <= 2^n - 1
-        #   parts;
-        # - g's optimal sequence (fold t[g]) followed by h's parts q_1..q_k
-        #   reaches g ^ h, so lhs = t[g ^ h] <= (t[g] + Σq)(1 + u)^k; and
-        #   t[h] >= Σq (1 - u)^(k-1), rhs = fl(t[g] + t[h]) >=
-        #   (t[g] + t[h])(1 - u), so lhs <= rhs ((1 + u) / (1 - u))^k;
-        # - at n <= 14 (closure_norm's bound) that factor is below
-        #   1 + 2^-38, and exceeds' slack at RELATIVE_TOLERANCE covers it
-        #   about 270 times.  Sums in the subnormal range are exact, the
-        #   scan visits no pair whose rhs overflows, and g = h gives lhs 0.
-        return
+def _require_axioms(oracle: NormOracle, rank: int) -> None:
+    """The axiom gate: refuse an oracle that is not a norm on the truncation
+    to rank generators."""
     # Above the exhaustive bound the gate checks the largest checkable
     # restriction; a restriction of a norm is again a norm.
     report = check_norm_axioms(restrict_oracle(oracle, min(rank, EXHAUSTIVE_RANK_BOUND)))
@@ -196,10 +174,9 @@ def cmd_rebase(args) -> int:
 
 def cmd_campaign(args) -> int:
     checks = _parse_checks(args.checks, CHECK_NAMES)
-    spec = norm = None
+    norm = None
     if args.norm is not None:
-        spec = parse_norm_spec(_load_json(args.norm))
-        norm = oracle_for(spec)
+        norm = oracle_for(parse_norm_spec(_load_json(args.norm)))
     cfg = CampaignConfig(
         rank=args.rank,
         trials=args.trials,
@@ -212,7 +189,7 @@ def cmd_campaign(args) -> int:
     if norm is not None:
         # The config has checked the rank (at most the exhaustive bound),
         # and every trial reads only this truncation.
-        _require_axioms(spec, norm, cfg.rank)
+        _require_axioms(norm, cfg.rank)
     rows, summary = run_campaign(cfg)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_csv(rows, fh)

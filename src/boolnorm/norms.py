@@ -232,7 +232,9 @@ class NormOracle:
     elements far above the built prefix is answered element by element
     instead, so it costs what those elements cost, not 2**m.  Construction
     performs no axiom validation on purpose: raw cost tables must be
-    runnable through the same checkers as genuine norms.
+    runnable through the same checkers as genuine norms.  An oracle a
+    norm builder made keeps its spec for check_norm_axioms and a read-only
+    table.
     """
 
     # A query builds its prefix when the prefix has at most this many
@@ -259,6 +261,7 @@ class NormOracle:
         self.rank = rank
         self.kind = kind
         self._array: np.ndarray | None = None
+        self._spec: WeightSpec | MetricSpec | BaseCostTable | None = None
         self._fn = fn
         if build is None and fn is not None:
             build = lambda m: np.fromiter(map(fn, range(1 << m)), dtype=float, count=1 << m)  # noqa: E731
@@ -275,6 +278,7 @@ class NormOracle:
         if arr is None or arr.size < 1 << m:
             require_memory(8 << m, f"a rank-{m} norm table")
             arr = self._array = np.asarray(self._build(m), dtype=float)
+            arr.flags.writeable = False
         return arr[: 1 << m]
 
     def __call__(self, g: Element) -> float:
@@ -332,13 +336,19 @@ def _weighted_table(weights: tuple[float, ...], m: int) -> np.ndarray:
     return t
 
 
+def _with_spec(oracle: NormOracle, spec) -> NormOracle:
+    oracle._spec = spec
+    return oracle
+
+
 def weighted_oracle(spec: WeightSpec) -> NormOracle:
-    return NormOracle(
+    oracle = NormOracle(
         spec.rank,
         fn=lambda g: weighted_norm(spec, g),
         build=lambda m: _weighted_table(spec.weights, m),
         kind="weighted",
     )
+    return _with_spec(oracle, spec)
 
 
 def _pairing_cost(dist: tuple[tuple[float, ...], ...], mask: int, memo: dict[int, float]) -> float:
@@ -420,12 +430,13 @@ def _graev_table(dist: tuple[tuple[float, ...], ...], m: int) -> np.ndarray:
 
 
 def graev_oracle(spec: MetricSpec) -> NormOracle:
-    return NormOracle(
+    oracle = NormOracle(
         spec.rank,
         fn=lambda g: graev_norm(spec, g),
         build=lambda m: _graev_table(spec.dist, m),
         kind="graev",
     )
+    return _with_spec(oracle, spec)
 
 
 def closure_norm(base: BaseCostTable) -> NormOracle:
@@ -452,9 +463,9 @@ def closure_norm(base: BaseCostTable) -> NormOracle:
     is its first row's, the largest, and top is read afresh after each
     chunk.  The pass stops once lo + cheapest reaches top.
 
-    The table is a norm by proof: it passes check_norm_axioms at any
-    tol >= about 2^-37 up to the rank bound, so the CLI gate passes a
-    closure spec without the scan (the proof is at cli._require_axioms).
+    The table is read-only and a norm by proof: it passes the axiom scan
+    at any tol >= about 2^-37 up to the rank bound, so check_norm_axioms
+    passes the oracle without the scan (the proof is at _proved).
     """
     n = base.rank
     if n > EXHAUSTIVE_RANK_BOUND:
@@ -492,7 +503,8 @@ def closure_norm(base: BaseCostTable) -> NormOracle:
                 top = dist.max().item()
                 start += us.size
                 width *= 2
-    return NormOracle(n, table=dist, kind="closure")
+    dist.flags.writeable = False
+    return _with_spec(NormOracle(n, table=dist, kind="closure"), base)
 
 
 def _window_end(ascending: np.ndarray, base: float, top: float) -> int:
@@ -524,12 +536,14 @@ def coordinate_norm(basis: Basis, oracle: NormOracle) -> NormOracle:
 
 
 def restrict_oracle(oracle: NormOracle, rank: int) -> NormOracle:
-    """The oracle on a smaller truncation: the first 2**rank table entries."""
+    """The oracle on a smaller truncation: the first 2**rank table entries.
+    It keeps the spec: each proof at _proved covers every restriction."""
     if rank > oracle.rank:
         raise ValueError(f"cannot restrict rank-{oracle.rank} oracle to rank {rank}")
     if rank == oracle.rank:
         return oracle
-    return NormOracle(rank, table=oracle._prefix(rank), kind=oracle.kind)
+    restricted = NormOracle(rank, table=oracle._prefix(rank), kind=oracle.kind)
+    return _with_spec(restricted, oracle._spec)
 
 
 @dataclass(frozen=True)
@@ -559,12 +573,11 @@ def check_norm_axioms(oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE) ->
     are walked in ascending value order, each over the partners whose sum
     with it stays below T, and the walk ends at the first empty row.
 
-    Two kinds of table pass without a scan when tol >= 2^-40, each read
-    off the table alone: one that is exactly the ascending letter sum of
-    its singleton values (a weighted norm), and one that is exactly the
-    graev table of the metric its singleton and two-letter values form,
-    where that metric meets the triangle inequality to relative slack
-    2^-50.  The proofs are at the shortcuts."""
+    An oracle that keeps its spec passes subadditivity without the scan
+    where the spec's proof covers tol (see _proved): a closure at tol >=
+    2^-37, a weighted norm at tol >= 2^-40, and a graev norm at tol >= 2^-40
+    whose metric on points 0..rank meets the triangle inequality to slack
+    2^-50.  Each proof shows that the scan would pass."""
     n = oracle.rank
     if n > EXHAUSTIVE_RANK_BOUND:
         raise RankTooLargeError(
@@ -587,34 +600,8 @@ def check_norm_axioms(oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE) ->
             return AxiomReport(
                 False, pairs, AxiomViolation(axiom, support(g), None, float(t[g]), bound)
             )
-    # An additive table passes by proof: when t is, bit for bit, the
-    # ascending letter sum of its own singleton values (a weighted norm),
-    # no visited pair can exceed at tol >= 2^-40.  With S_g the exact sum
-    # over the letters of g and u = 2^-53:
-    # - each t[g] is a sum of at most n positive terms in order, so
-    #   t[g] = S_g (1 + θ) with |θ| <= γ_{n-1} = (n-1)u / (1 - (n-1)u);
-    #   addition is exact where it underflows, so this holds down to the
-    #   subnormals;
-    # - the letters of g ^ h are a subset of those of g and h, so
-    #   S_{g^h} <= S_g + S_h, and lhs = t[g ^ h] against
-    #   rhs = fl(t[g] + t[h]) gives lhs - rhs <= (2γ_n + u)(S_g + S_h);
-    # - exceeds' slack fl(tol * big), with big >= rhs, covers that once tol
-    #   is about 2(n + 1)u (3e-15 at n = 14), so 2^-40 leaves more than 100x
-    #   margin; a product that underflows loses at most 2^-1075, which
-    #   matters only where every sum is below 2^-1021 and so exact;
-    # - the scan visits only pairs whose rhs is below max(t), so no visited
-    #   sum overflows.
-    # Below 2^-40 the table is scanned: at tol = 0 many weighted tables fail
-    # by an ulp, e.g. weights (0.7, 1/3, 1.1, 0.1) at ({3}, {1, 4}).
-    if tol >= 2.0**-40:
-        singles = t[1 << np.arange(n)].tolist()
-        total = 0.0
-        for w in singles:  # t[-1]'s sum: an O(n) reject for most other tables
-            total += w
-        if total == t[-1] and np.array_equal(t, _weighted_table(singles, n)):
-            return AxiomReport(True, pairs, None)
-        if _is_graev_table(t, n, singles):
-            return AxiomReport(True, pairs, None)
+    if _proved(oracle._spec, n, tol):
+        return AxiomReport(True, pairs, None)
     # The values are now finite and nonnegative, so with tol >= 0 only pairs
     # with lhs > rhs can be bad, and lhs <= T bounds rhs below T.  bad(g, h)
     # is symmetric (IEEE addition commutes), so each row a scans the sorted
@@ -650,46 +637,78 @@ def check_norm_axioms(oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE) ->
     )
 
 
-def _is_graev_table(t: np.ndarray, n: int, singles: list[float]) -> bool:
-    """Whether t is, bit for bit, _graev_table of the metric read off its
-    own entries, and that metric meets the triangle inequality to relative
-    slack 2^-50: then no pair fails the axiom gate at tol >= 2^-40."""
-    # The proof.  With D(i,0) = t[{i}], D(i,j) = t[{i,j}], N_D the exact
-    # Graev norm of D (the min over pairings of the exact sum of their
-    # distances), S = N_D(g) + N_D(h) and u = 2^-53:
-    # - rounded addition is monotone, so the DP's value at g is the min over
-    #   pairings P of g of P's at most n terms summed in one fixed order, and
-    #   t[g] = N_D(g)(1 + θ) with |θ| <= γ_n = nu / (1 - nu); a pairing sum
-    #   that overflows is above every finite t[g] and never sets it;
-    # - the edges of optimal pairings of g and h (each basepoint end its own
-    #   copy) form paths and cycles whose interior letters lie in g ∩ h, and
-    #   each path joins two letters of g ^ h, a letter and the basepoint, or
-    #   the basepoint twice.  Shortcutting every path to its end-to-end edge
-    #   and dropping the rest pairs g ^ h, at most n shortcuts in all;
-    # - a passed check gives D(i,k) <= fl(fl(D(i,j) + D(j,k)) + 2^-50 D(i,k)),
-    #   so each shortcut costs at most a factor 1 + 11u, and
-    #   N_D(g ^ h) <= (1 + 11u)^n S;
-    # - so lhs = t[g ^ h] and rhs = fl(t[g] + t[h]) >= (1 - u)(1 - γ_n) S
-    #   give lhs - rhs <= about (13n + 2)u S, 2.0e-14 S at n = 14, and the
-    #   slack fl(tol * big) with big >= rhs is at least about 2^-40 S, more
-    #   than 40 times that.  A product that underflows loses at most
-    #   2^-1075, which matters only where rhs is subnormal, and there every
-    #   sum the pair reads is exact.
-    # Metrics that MetricSpec admits with up to 1e-9 slack need not pass:
-    # merging can spend that slack once per shared letter, past the gate's
-    # own 1e-9, so they go to the scan.
-    d = np.zeros((n + 1, n + 1))
-    d[0, 1:] = d[1:, 0] = singles
-    bits = 1 << np.arange(n)
-    d[1:, 1:] = t[bits[:, None] | bits]
-    np.fill_diagonal(d, 0.0)
-    dist = d.tolist()
-    low = min(n, 4)  # a cheap reject: most other tables differ in their first 16 entries
-    return (
-        np.array_equal(t[: 1 << low], _graev_table(dist, low))
-        and _triangle_failure(d, 2.0**-50) is None
-        and np.array_equal(t, _graev_table(dist, n))
-    )
+def _proved(spec, n: int, tol: float) -> bool:
+    """Whether every pair of the table that spec built, restricted to
+    generators 1..n, passes the subadditivity scan at tol.  The caller has
+    checked that the table is 0 at 0 and finite and positive elsewhere."""
+    # With u = 2^-53.  exceeds' slack is fl(tol * big) with big >= rhs; a
+    # product that underflows matters only where every sum is subnormal and
+    # so exact.  The scan visits no pair whose rhs overflows.
+    if isinstance(spec, BaseCostTable):
+        # A closure table t = closure_norm(spec) passes at any tol >= 2^-37,
+        # and so does each restriction, whose pairs are pairs of t:
+        # - 0 < cheapest <= t[g] <= costs[g] < inf for g != 0, since a
+        #   BaseCostTable admits only positive finite costs;
+        # - fl(a + c) is nondecreasing in a and at least a, so t[v] is the
+        #   least left-fold rounded sum over the part sequences reaching v,
+        #   the relaxation's one fixed point whatever order labels are
+        #   finalized in (closure_norm equals the one-label-at-a-time full
+        #   pass, a tested fact), attained by a simple path: k <= 2^n - 1
+        #   parts;
+        # - g's optimal sequence (fold t[g]) followed by h's parts q_1..q_k
+        #   reaches g ^ h, so lhs = t[g ^ h] <= (t[g] + Σq)(1 + u)^k; and
+        #   t[h] >= Σq (1 - u)^(k-1), rhs = fl(t[g] + t[h]) >=
+        #   (t[g] + t[h])(1 - u), so lhs <= rhs ((1 + u) / (1 - u))^k;
+        # - at n <= 14 (closure_norm's bound) that factor is below
+        #   1 + 2^-38, which 2^-37 covers twice over and RELATIVE_TOLERANCE
+        #   about 270 times; g = h gives lhs 0.
+        return tol >= 2.0**-37
+    if isinstance(spec, WeightSpec):
+        # The table is _weighted_table(spec.weights, n): doubling writes the
+        # first 2^n entries from the first n weights alone.  With S_g the
+        # exact sum of the weights of g's letters:
+        # - each t[g] is a sum of at most n positive terms in order, so
+        #   t[g] = S_g (1 + θ) with |θ| <= γ_{n-1} = (n-1)u / (1 - (n-1)u);
+        #   addition is exact where it underflows, so this holds down to the
+        #   subnormals;
+        # - the letters of g ^ h are a subset of those of g and h, so
+        #   S_{g^h} <= S_g + S_h, and lhs = t[g ^ h] against
+        #   rhs = fl(t[g] + t[h]) gives lhs - rhs <= (2γ_n + u)(S_g + S_h);
+        # - the slack covers that once tol is about 2(n + 1)u (3e-15 at
+        #   n = 14), so 2^-40 leaves more than 100x margin.
+        # Below 2^-40 the table is scanned: at tol = 0 many weighted tables
+        # fail by an ulp, e.g. weights (0.7, 1/3, 1.1, 0.1) at ({3}, {1, 4}).
+        return tol >= 2.0**-40
+    if isinstance(spec, MetricSpec):
+        # The table is _graev_table(spec.dist, n): the first 2^n entries of a
+        # larger build read only letters up to n, in the same order.  With
+        # D = spec.dist on points 0..n, N_D the exact Graev norm of D (the
+        # min over pairings of the exact sum of their distances) and
+        # S = N_D(g) + N_D(h):
+        # - rounded addition is monotone, so the DP's value at g is the min
+        #   over pairings P of g of P's at most n terms summed in one fixed
+        #   order, and t[g] = N_D(g)(1 + θ) with |θ| <= γ_n = nu / (1 - nu);
+        #   a pairing sum that overflows is above every finite t[g] and never
+        #   sets it;
+        # - the edges of optimal pairings of g and h (each basepoint end its
+        #   own copy) form paths and cycles whose interior letters lie in
+        #   g ∩ h, and each path joins two letters of g ^ h, a letter and the
+        #   basepoint, or the basepoint twice.  Shortcutting every path to
+        #   its end-to-end edge and dropping the rest pairs g ^ h, at most n
+        #   shortcuts in all;
+        # - a passed check gives D(i,k) <= fl(fl(D(i,j) + D(j,k)) + 2^-50
+        #   D(i,k)), so each shortcut costs at most a factor 1 + 11u, and
+        #   N_D(g ^ h) <= (1 + 11u)^n S;
+        # - so lhs = t[g ^ h] and rhs = fl(t[g] + t[h]) >= (1 - u)(1 - γ_n) S
+        #   give lhs - rhs <= about (13n + 2)u S, 2.0e-14 S at n = 14, and
+        #   the slack at 2^-40 is at least about 2^-40 S, more than 40 times
+        #   that.
+        # Metrics that MetricSpec admits with up to 1e-9 slack need not
+        # pass: merging can spend that slack once per shared letter, past
+        # the gate's own 1e-9, so they go to the scan.
+        dist = np.array(spec.dist)[: n + 1, : n + 1]
+        return tol >= 2.0**-40 and _triangle_failure(dist, 2.0**-50) is None
+    return False
 
 
 def parse_norm_spec(data: Mapping) -> WeightSpec | MetricSpec | BaseCostTable:

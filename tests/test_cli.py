@@ -535,27 +535,39 @@ def test_campaign_gates_a_fixed_norm(tmp_path, capsys):
 @pytest.mark.parametrize("kind", ["closure", "weighted", "graev"])
 @pytest.mark.parametrize("command", ["reduce", "verify", "rebase", "campaign"])
 def test_the_gate_scans_weighted_and_graev_specs_only(tmp_path, monkeypatch, command, kind):
-    # closure_norm's tables are norms by proof (at cli._require_axioms), so
-    # the gate passes a closure spec without the scan.
+    # Every command gates every kind with one check_norm_axioms call on the
+    # restriction to --rank, and that call passes by the spec's proof with
+    # no scan row (no _window_end call).  --rank is below the spec's rank,
+    # so a restriction that dropped the spec would be scanned.
     import boolnorm.cli as cli
+    import boolnorm.norms as norms
 
     from boolnorm.instances import random_norm, rng_from
     from boolnorm.norms import spec_to_json
 
-    spec = random_norm(rng_from(0, 4), 4, kind)[0]
+    spec = random_norm(rng_from(0, 5), 5, kind)[0]
     norm = write_json(tmp_path / "norm.json", spec_to_json(spec))
     seq = write_json(tmp_path / "seq.json", [[2], [1, 2, 3], [1, 3, 4]])
-    scanned, scan = [], cli.check_norm_axioms
-    monkeypatch.setattr(cli, "check_norm_axioms", lambda o: scanned.append(o) or scan(o))
+    rows, window_end = [], norms._window_end
+    monkeypatch.setattr(norms, "_window_end", lambda *a: rows.append(a) or window_end(*a))
+    gated, gate = [], cli.check_norm_axioms
+
+    def counting_gate(oracle):
+        before = len(rows)
+        report = gate(oracle)
+        gated.append((oracle.rank, len(rows) - before))
+        return report
+
+    monkeypatch.setattr(cli, "check_norm_axioms", counting_gate)
     out = ["--out", str(tmp_path / "out")]
     args = {
-        "reduce": ["reduce", "--norm", norm],
-        "verify": ["verify", "--norm", norm],
-        "rebase": ["rebase", "--norm", norm, "--seq", seq],
+        "reduce": ["reduce", "--norm", norm, "--rank", "4"],
+        "verify": ["verify", "--norm", norm, "--rank", "4"],
+        "rebase": ["rebase", "--norm", norm, "--rank", "4", "--seq", seq],
         "campaign": ["campaign", "--rank", "4", "--trials", "2", "--norm", norm],
     }[command]
     assert main(args + out) == 0
-    assert len(scanned) == (0 if kind == "closure" else 1)
+    assert gated == [(4, 0)]
 
 
 def test_campaign_summary_minimum_propagates_nan(monkeypatch):

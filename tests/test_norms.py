@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from boolnorm import (
     EXHAUSTIVE_RANK_BOUND,
     RELATIVE_TOLERANCE,
-    AxiomViolation,
     BaseCostTable,
     GeneralBasis,
     IndexOutOfRankError,
@@ -260,22 +259,31 @@ def test_closure_axioms_pass():
         assert check_norm_axioms(closure_norm(base)).passed
 
 
-# The least tolerance the closure proof at cli._require_axioms covers up to
-# the rank bound.
+# The least tolerance the closure proof at norms._proved covers up to the
+# rank bound.
 PROOF_FLOOR = 2.0**-37
+# Below, at and above each proof's floor (2^-40 for weighted and graev).
+GATE_TOLERANCES = [0.0, 2.0**-41, 2.0**-40, PROOF_FLOOR, RELATIVE_TOLERANCE, 0.25]
+
+
+def assert_gate_reports_what_the_scan_does(oracle, rank, tol):
+    """A builder's oracle, and its restriction to rank generators, give the
+    report that the scan of a spec-less copy gives: a proof that passes is
+    never taken where the scan would fail."""
+    for o in (oracle, restrict_oracle(oracle, rank)):
+        scanned = check_norm_axioms(NormOracle(o.rank, table=o.table()), tol=tol)
+        assert check_norm_axioms(o, tol=tol) == scanned
 
 
 @settings(max_examples=80, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=9),
-    st.sampled_from(PROOF_FAMILIES),
-    st.integers(0, 10**6),
-)
-def test_closure_tables_pass_the_axiom_scan_as_the_proof_says(rank, family, seed):
-    costs = cost_family(rng_from(seed), family, (1 << rank) - 1)
+@given(st.data(), st.sampled_from(ALL_FAMILIES), st.sampled_from(GATE_TOLERANCES))
+def test_closure_tables_pass_the_axiom_scan_as_the_proof_says(data, family, tol):
+    rank = data.draw(st.integers(min_value=1, max_value=10))
+    costs = cost_family(rng_from(data.draw(st.integers(0, 10**6))), family, (1 << rank) - 1)
     oracle = closure_norm(BaseCostTable(rank, np.concatenate([[0.0], costs])))
-    assert check_norm_axioms(oracle, tol=RELATIVE_TOLERANCE).passed
-    assert check_norm_axioms(oracle, tol=PROOF_FLOOR).passed
+    assert_gate_reports_what_the_scan_does(oracle, data.draw(st.integers(1, rank)), tol)
+    if tol >= PROOF_FLOOR:
+        assert check_norm_axioms(oracle, tol=tol).passed
 
 
 def test_closure_tables_need_the_proof_floor():
@@ -286,6 +294,7 @@ def test_closure_tables_need_the_proof_floor():
     expected = ((1,), (1, 2, 3, 4), 2.666666666666667, 2.6666666666666665)
     assert axiom_outcome(check_norm_axioms(oracle, tol=0.0)) == (False, expected, 4**4)
     assert check_norm_axioms(oracle, tol=PROOF_FLOOR).passed
+    assert check_norm_axioms(NormOracle(4, table=oracle.table()), tol=PROOF_FLOOR).passed
 
 
 def test_the_closure_proof_covers_the_rank_bound():
@@ -384,12 +393,15 @@ def count_window_ends(monkeypatch):
 
 def test_value_window_skips_most_of_both_kernels(monkeypatch):
     # On a rank-10 closure table both kernels stop early.  The closure
-    # relaxes 30 chunks here; one window per label would take 138.
+    # relaxes 30 chunks here; one window per label would take 138.  The
+    # oracle itself passes by proof, so the scan runs on a spec-less copy.
     calls = count_window_ends(monkeypatch)
     oracle = closure_norm(random_base_table(rng_from(0, 10), 10))
     assert 0 < len(calls) < 1024 // 16
     calls.clear()
     assert check_norm_axioms(oracle).passed
+    assert not calls
+    assert check_norm_axioms(NormOracle(10, table=oracle.table())).passed
     assert 0 < len(calls) < 1024 // 4
 
 
@@ -862,25 +874,23 @@ positive_weights = st.one_of(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.lists(positive_weights, min_size=1, max_size=10),
-    st.sampled_from([2.0**-40, 1e-9, 0.25]),
+    st.one_of(
+        st.lists(positive_weights, min_size=1, max_size=10),
+        st.builds(
+            lambda rank, family, seed: cost_family(rng_from(seed), family, rank).tolist(),
+            st.integers(min_value=1, max_value=10),
+            st.sampled_from(ALL_FAMILIES),
+            st.integers(0, 10**6),
+        ),
+    ),
+    st.sampled_from(GATE_TOLERANCES),
+    st.data(),
 )
-def test_weighted_shortcut_reports_what_the_full_scan_does(weights, tol):
-    # A weighted table passes the gate without a scan: the report must be
-    # the one the scan over every pair, after the finite check, would give.
-    from boolnorm.norms import _weighted_table
-
-    rank = len(weights)
-    table = _weighted_table(tuple(weights), rank)
-    report = check_norm_axioms(NormOracle(rank, table=table), tol=tol)
-    assert report.pairs_checked == 4**rank
-    if not np.isfinite(table).all():
-        g = int(np.argmax(~np.isfinite(table)))
-        assert report.violation == AxiomViolation("finite", support(g), None, np.inf, np.inf)
-        return
-    with np.errstate(over="ignore"):  # sums past the float range cannot fail
-        expected = full_scan_axioms(table, tol)
-    assert axiom_outcome(report) == (expected is None, expected, 4**rank)
+def test_weighted_shortcut_reports_what_the_full_scan_does(weights, tol, data):
+    # A weighted oracle passes the gate by its spec's proof from 2^-40 up:
+    # its report, and its restriction's, must be what the scan gives.
+    oracle = weighted_oracle(WeightSpec(weights))
+    assert_gate_reports_what_the_scan_does(oracle, data.draw(st.integers(1, len(weights))), tol)
 
 
 def test_weighted_tables_below_the_shortcut_tolerance_are_scanned(monkeypatch):
@@ -902,11 +912,9 @@ def test_weighted_tables_below_the_shortcut_tolerance_are_scanned(monkeypatch):
 
 def test_a_weighted_table_with_one_raised_entry_is_scanned(monkeypatch):
     # Only {1,2} is raised, so the top entry still equals the sum of the
-    # singletons and the full comparison is what sends the table to the scan.
+    # singletons; the copy carries no spec, so the scan finds the raise.
     rows = count_window_ends(monkeypatch)
     table = weighted_oracle(WeightSpec((1.0, 2.0, 4.0))).table().copy()
-    assert check_norm_axioms(NormOracle(3, table=table)).passed
-    assert not rows
     table[0b011] = 3.0 * (1 + 1e-8)
     report = check_norm_axioms(NormOracle(3, table=table))
     assert rows
@@ -921,21 +929,19 @@ def test_a_weighted_table_with_one_raised_entry_is_scanned(monkeypatch):
     st.integers(min_value=1, max_value=10),
     st.booleans(),
     st.integers(0, 10**6),
-    st.sampled_from([2.0**-40, 1e-9, 0.25, 0.0]),
+    st.sampled_from(GATE_TOLERANCES),
+    st.data(),
 )
-def test_graev_shortcut_reports_what_the_full_scan_does(rank, ties, seed, tol):
-    # A graev table passes the gate without a scan at tol >= 2^-40: the
-    # report must be the one the scan over every pair gives, on log-uniform
-    # metrics and on integer ones whose pairings tie often.
+def test_graev_shortcut_reports_what_the_full_scan_does(rank, ties, seed, tol, data):
+    # A graev oracle passes the gate by its spec's proof from 2^-40 up: its
+    # report, and its restriction's, must be what the scan gives, on
+    # log-uniform metrics and on integer ones whose pairings tie often.
     rng = rng_from(seed)
     if ties:
         spec = small_metric(rank, rng.integers(1, 4, (rank + 1) * rank // 2).tolist())
     else:
         spec = random_metric_spec(rng, rank)
-    table = graev_oracle(spec).table()
-    expected = full_scan_axioms(table, tol)
-    report = check_norm_axioms(NormOracle(rank, table=table), tol=tol)
-    assert axiom_outcome(report) == (expected is None, expected, 4**rank)
+    assert_gate_reports_what_the_scan_does(graev_oracle(spec), data.draw(st.integers(1, rank)), tol)
 
 
 def test_graev_tables_pass_without_a_scan_only_from_the_shortcut_tolerance(monkeypatch):
@@ -946,8 +952,8 @@ def test_graev_tables_pass_without_a_scan_only_from_the_shortcut_tolerance(monke
     assert check_norm_axioms(graev, tol=2.0**-41).passed
     assert rows
     rows.clear()
-    # a closure table is no graev table: the shortcut declines it
-    assert check_norm_axioms(closure_norm(random_base_table(rng_from(0, 10), 10))).passed
+    # the same table without its spec is scanned
+    assert check_norm_axioms(NormOracle(10, table=graev.table()), tol=2.0**-40).passed
     assert rows
 
 
@@ -964,17 +970,54 @@ def test_admitted_triangle_slack_is_scanned_and_can_fail_the_gate(monkeypatch, s
 
 
 def test_a_graev_table_with_one_raised_entry_is_scanned(monkeypatch):
-    # {1,2,5} lies above the first four letters and is no distance the
-    # metric is read from, so only the full comparison sends it to the scan.
+    # {1,2,5} is no distance of the metric; the copy carries no spec, so
+    # the scan finds the raise.
     rows = count_window_ends(monkeypatch)
     table = graev_oracle(small_metric(5, [2] * 15)).table().copy()
-    assert check_norm_axioms(NormOracle(5, table=table)).passed
-    assert not rows
     table[0b10011] *= 1 + 1e-8
     report = check_norm_axioms(NormOracle(5, table=table))
     assert rows
     assert not report.passed
     assert report.violation.lhs == table[0b10011]
+
+
+def test_builders_hand_out_read_only_tables():
+    # The gate trusts a builder's table to be the one its spec built.
+    oracles = [
+        weighted_oracle(WeightSpec((1.0, 2.0, 4.0))),
+        graev_oracle(small_metric(3, [2] * 6)),
+        closure_norm(BaseCostTable(3, (0.0, 1.0, 2.0, 2.0, 4.0, 4.0, 4.0, 4.0))),
+    ]
+    for oracle in oracles:
+        for table in (restrict_oracle(oracle, 2).table(), oracle.table()):
+            with pytest.raises(ValueError, match="read-only"):
+                table[1] = 0.5
+
+
+def test_acceptance_1_instances_pass_the_scan_without_their_specs():
+    # Acceptance 1 passes its builders' oracles by proof; the scan still
+    # covers every one of its 300 tables through a spec-less copy.
+    for family_index, family in enumerate(("weighted", "graev", "closure")):
+        for i in range(100):
+            _, oracle = random_norm(rng_from(811, family_index, i), 8, family)
+            report = check_norm_axioms(NormOracle(8, table=oracle.table()))
+            assert (report.passed, report.pairs_checked) == (True, 4**8), (family, i)
+
+
+def test_a_metric_an_ulp_above_its_basepoint_route_passes_by_proof(monkeypatch):
+    # d(i,j) is an ulp above fl(d(i,0) + d(j,0)) for some pair, so the table
+    # holds the basepoint route's sum there, not d(i,j).  A metric read back
+    # from the table differs from the spec's; the proof reads the spec's.
+    spec = random_metric_spec(rng_from(12, 1), 20)
+    oracle = restrict_oracle(graev_oracle(spec), EXHAUSTIVE_RANK_BOUND)
+    table = oracle.table()
+    pairs = [(i, j) for i in range(1, 15) for j in range(i + 1, 15)]
+    assert any(table[(1 << i - 1) | (1 << j - 1)] < spec.dist[i][j] for i, j in pairs)
+    rows = count_window_ends(monkeypatch)
+    assert check_norm_axioms(oracle).passed
+    assert not rows
+    assert check_norm_axioms(NormOracle(EXHAUSTIVE_RANK_BOUND, table=table)).passed
+    assert rows
 
 
 def test_metric_spec_admits_distance_sums_past_the_float_range():
