@@ -21,6 +21,7 @@ from .instances import NORM_FAMILIES, rng_from
 from .norms import (
     EXHAUSTIVE_RANK_BOUND,
     NormOracle,
+    _spec_certified,
     check_norm_axioms,
     coordinate_norm,
     oracle_for,
@@ -69,15 +70,24 @@ def _load_oracle(args) -> tuple[NormOracle, int]:
 
 def _require_axioms(oracle: NormOracle, rank: int) -> None:
     """The axiom gate: refuse an oracle that is not a norm on the truncation
-    to rank generators."""
-    # Above the exhaustive bound the gate checks the largest checkable
-    # restriction; a restriction of a norm is again a norm.
-    report = check_norm_axioms(restrict_oracle(oracle, min(rank, EXHAUSTIVE_RANK_BOUND)))
+    to rank generators, or whose spec is not certified a norm as a whole."""
+    # The gate checks the truncation, or above the exhaustive bound its
+    # largest checkable restriction; a restriction of a norm is again a norm.
+    gated = min(rank, EXHAUSTIVE_RANK_BOUND)
+    report = check_norm_axioms(restrict_oracle(oracle, gated))
     if not report.passed:
         v = report.violation
         raise ValueError(
             f"norm axioms fail ({v.axiom}) at g={list(v.g)}, h={None if v.h is None else list(v.h)}: "
             f"{v.lhs} > {v.rhs}"
+        )
+    # Generators above the gated ones still reach the commands (verify
+    # --basis reads rows up to the spec's rank), so the spec itself must be
+    # a norm.
+    if oracle.rank > gated and not _spec_certified(oracle):
+        raise ValueError(
+            f"norm axioms unchecked: the gate scanned generators 1..{gated} of a rank-"
+            f"{oracle.rank} {oracle.kind} spec and can neither prove nor scan the rest"
         )
 
 

@@ -711,6 +711,42 @@ def _proved(spec, n: int, tol: float) -> bool:
     return False
 
 
+def _spec_certified(oracle: NormOracle) -> bool:
+    """Whether the table the oracle's spec builds at the spec's full rank
+    would pass check_norm_axioms at RELATIVE_TOLERANCE, read off the spec
+    without building the table or scanning it, at any rank."""
+    spec = oracle._spec
+    # Zero at zero holds for every builder.  Finite and positive: rounded
+    # addition is monotone and fl(a + w) >= a for w >= 0, so a fold of a
+    # subsequence of positive terms is positive and at most the fold of the
+    # whole sequence, in the same order.
+    # - weighted: every entry folds its weights in ascending letter order
+    #   (_weighted_table, weighted_norm), so the ascending fold of all the
+    #   weights bounds it;
+    # - graev: both builders pair the lowest letter and recurse on the rest,
+    #   so pairing every letter of g with the basepoint folds D(i, 0) from
+    #   g's top letter down, and t[g], the least pairing, is at most the
+    #   same fold over all the letters.  Distances off the diagonal are
+    #   positive;
+    # - closure: closure_norm builds rank 14 at most, and 0 < t[g] <=
+    #   costs[g] < inf, as _proved shows.
+    # Subadditivity is _proved's, at rank n.  Its error bounds, (2n + 2)u
+    # for weighted and (13n + 2)u for graev, stay 10 times below
+    # RELATIVE_TOLERANCE up to n = 2^16.
+    if isinstance(spec, WeightSpec):
+        terms: tuple[float, ...] = spec.weights
+    elif isinstance(spec, MetricSpec):
+        terms = tuple(row[0] for row in reversed(spec.dist[1:]))
+    elif isinstance(spec, BaseCostTable):
+        terms = ()
+    else:
+        return False
+    top = 0.0
+    for x in terms:
+        top += x
+    return top < math.inf and spec.rank <= 1 << 16 and _proved(spec, spec.rank, RELATIVE_TOLERANCE)
+
+
 def parse_norm_spec(data: Mapping) -> WeightSpec | MetricSpec | BaseCostTable:
     """Parse the JSON object form of a norm spec; rank is inferred."""
     if not isinstance(data, Mapping):

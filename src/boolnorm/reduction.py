@@ -2,7 +2,10 @@
 
 Row k+1 of the reduced basis is the cheapest element of the coset
 e_{k+1} + span(rows 1..k); ties go to the lexicographically smallest
-support, so reduction is deterministic for any fixed norm.
+support, so reduction is deterministic for any fixed norm.  A reduced
+basis is unitriangular, so that coset is the contiguous slice of the dense
+norm table holding the masks whose top letter is k+1, and each row is read
+off its slice: no span of the earlier rows is ever formed.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Element, TriangularBasis, require_memory, support
+from .algebra import Element, TriangularBasis, support
 from .errors import NanNormError, SearchBoundExceededError
 from .norms import NormOracle, restrict_oracle
 
@@ -27,14 +30,6 @@ class RowRecord:
     norm: float
     coset_size: int
     candidates_evaluated: int
-
-
-def _argmin_dense(members: np.ndarray, values: np.ndarray) -> tuple[Element, float]:
-    # Minimum norm, then lexicographically smallest support among the ties.
-    best = values.min()
-    ties = members[values == best]
-    elem = int(ties[0]) if ties.size == 1 else min(map(int, ties), key=support)
-    return elem, float(best)
 
 
 def _argmin_pruned(
@@ -79,9 +74,10 @@ def reduce_basis_report(
 
     Row 1 is the first generator; row k+1 minimizes the norm over the coset
     of generator k+1 by span(rows 1..k).  The output is unitriangular by
-    construction: every coset member contains index k+1 and nothing above.
-    The plain search takes the minimum over the dense norm table at all
-    2**k coset members at once; the pruned one walks them depth first.
+    construction, so rows 1..k span exactly the masks below 2**k and the
+    coset is the table slice [2**k, 2**(k+1)): the masks whose top letter
+    is k+1.  The plain search takes the minimum of that slice in place; the
+    pruned one walks its members depth first.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -90,29 +86,25 @@ def reduce_basis_report(
     if rank > DEFAULT_SEARCH_BOUND:
         raise SearchBoundExceededError(f"rank {rank} exceeds search bound {DEFAULT_SEARCH_BOUND}")
     table = restrict_oracle(oracle, rank).table()
-    # The row cosets partition the nonzero masks, so both searches read
-    # every entry but the zero element's; NaN compares false both ways, so
-    # no search order could rank it.
-    nan = np.flatnonzero(np.isnan(table[1:]))
-    if nan.size:
-        g = int(nan[0]) + 1
-        raise NanNormError(f"norm of {support(g)} is NaN; the coset minimum is undefined")
-    if not prune:
-        # span[c] = sum of the rows selected by c, doubled as rows arrive.
-        require_memory(8 << (rank - 1), f"the span of {rank - 1} rows")
-        span = np.zeros(1 << (rank - 1), dtype=np.int64)
     rows: list[Element] = []
     records: list[RowRecord] = []
     for k in range(1, rank + 1):
         size = 1 << (k - 1)
+        coset = table[size : 2 * size]
+        best = coset.min()
+        # The slices partition the nonzero masks in mask order, so the first
+        # NaN of the first slice holding one is the table's first.  NaN
+        # compares false both ways, so no search could rank it.
+        if np.isnan(best):
+            g = size + int(np.flatnonzero(np.isnan(coset))[0])
+            raise NanNormError(f"norm of {support(g)} is NaN; the coset minimum is undefined")
         if prune:
             elem, norm, evaluated = _argmin_pruned(table, size, tuple(rows))
         else:
-            members = span[:size] ^ size
-            elem, norm = _argmin_dense(members, table[members])
-            evaluated = size
-            if k < rank:
-                span[size : 2 * size] = span[:size] ^ elem
+            # Minimum norm, then lexicographically smallest support among the ties.
+            ties = np.flatnonzero(coset == best) + size
+            elem = int(ties[0]) if ties.size == 1 else min(map(int, ties), key=support)
+            norm, evaluated = float(best), size
         rows.append(elem)
         records.append(RowRecord(k, support(elem), norm, size, evaluated))
     return TriangularBasis(tuple(rows)), records

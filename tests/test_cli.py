@@ -433,8 +433,10 @@ def test_the_axiom_gate_cannot_be_skipped(tmp_path, norm_a_file, capsys, command
 
 def test_verify_without_the_gate_fails_on_overflowing_norms(tmp_path, capsys):
     """Weights of 1e308 are finite, but the norm of {15,16} overflows to inf.
-    The gate refuses the spec at its own rank; rows above the gated rank
-    reach the checkers, and every lemma must see the inf and fail."""
+    The gate refuses the spec at its own rank, and rows above the gated
+    rank no longer get past it: the whole spec is certified, and the
+    checkers' handling of inf is left to the library tests on non-finite
+    tables."""
     norm = write_json(tmp_path / "huge.json", {"kind": "weighted", "weights": [1e308, 1e308]})
     assert main(["verify", "--norm", norm]) == 2
     assert "finite" in capsys.readouterr().err
@@ -443,12 +445,53 @@ def test_verify_without_the_gate_fails_on_overflowing_norms(tmp_path, capsys):
     basis = write_json(tmp_path / "b.json", [[15], [16]])
     out = tmp_path / "report.json"
     args = ["verify", "--norm", norm, "--rank", "2", "--basis", basis, "--out", str(out)]
-    assert main(args) == 1
-    assert capsys.readouterr().err == ""
-    checks = read_json(out)["checks"]
-    assert not any(rep["pass"] for rep in checks.values())
-    counts = {name: len(rep["violations"]) for name, rep in checks.items()}
-    assert counts == {"L0iii": 1, "L1": 2, "L2": 2, "L3": 1, "L4": 1}
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "the gate scanned generators 1..2 of a rank-16 weighted spec" in err
+    assert "can neither prove nor scan the rest" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, weights",
+    [("verify", [1.0] * 14 + [1e308, 1e308]), ("reduce", [1.0] * 14 + [1e308] * 6)],
+)
+def test_gate_certifies_the_spec_above_the_exhaustive_bound(tmp_path, capsys, command, weights):
+    # generators 1..14 pass the scan; the letters above them overflow
+    norm = write_json(tmp_path / "w.json", {"kind": "weighted", "weights": weights})
+    out = tmp_path / "out.json"
+    assert main([command, "--norm", norm, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"the gate scanned generators 1..14 of a rank-{len(weights)} weighted spec" in err
+    assert not out.exists()
+
+
+def test_gate_refuses_a_metric_it_cannot_prove_above_the_exhaustive_bound(
+    tmp_path, capsys, slack_dist
+):
+    # slack_dist on points 0..4 meets the triangle inequality only to 1e-9.
+    # Wedged at the basepoint below 14 points at distance 1 from it (a
+    # distance across the two parts runs through the basepoint), its points
+    # 1..4 become generators 15..18: the scan passes generators 1..14, and
+    # no proof covers the rest.
+    def point(p):
+        return p + 14 if p else 0
+
+    units = range(1, 15)
+    dist = [[0.0] * 19 for _ in range(19)]
+    for i in units:
+        for j in units:
+            dist[i][j] = 2.0 if i != j else 0.0
+        dist[0][i] = dist[i][0] = 1.0
+        for p in range(1, 5):
+            dist[i][point(p)] = dist[point(p)][i] = 1.0 + slack_dist[0][p]
+    for p in range(5):
+        for q in range(5):
+            dist[point(p)][point(q)] = slack_dist[p][q]
+    norm = write_json(tmp_path / "g.json", {"kind": "graev", "dist": dist})
+    assert main(["reduce", "--norm", norm, "--out", str(tmp_path / "b.json")]) == 2
+    assert "can neither prove nor scan the rest" in capsys.readouterr().err
+    assert not (tmp_path / "b.json").exists()
 
 
 def test_reduce_accepts_a_metric_whose_distance_sums_overflow(tmp_path, capsys):

@@ -1367,3 +1367,51 @@ def test_dense_table_refuses_more_than_physical_memory():
     with pytest.raises(RankTooLargeError):
         huge.table()
     assert huge(from_support([3])) == 1.0
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data(), st.sampled_from(["weighted", "random", "ties", "huge", "drawn"]))
+def test_a_certified_spec_passes_the_axiom_scan(data, kind):
+    # The gate certifies a spec above its gated rank without the table;
+    # every spec it certifies must pass the spec-less scan at the gate's
+    # tolerance.  A weighted spec is certified exactly when its table is
+    # finite.
+    from boolnorm.norms import _spec_certified
+
+    if kind == "weighted":
+        weights = data.draw(st.lists(positive_weights, min_size=1, max_size=10))
+        oracle = weighted_oracle(WeightSpec(weights))
+    elif kind == "drawn":
+        try:
+            spec = MetricSpec(draw_metric_matrix(data))
+        except ValueError:
+            return
+        oracle = graev_oracle(spec)
+    else:
+        rank = data.draw(st.integers(min_value=1, max_value=8))
+        rng = rng_from(data.draw(st.integers(0, 10**6)))
+        edges = (rank + 1) * rank // 2
+        if kind == "random":
+            spec = random_metric_spec(rng, rank)
+        elif kind == "ties":
+            spec = small_metric(rank, rng.integers(1, 4, edges).tolist())
+        else:
+            spec = huge_metric(rank, rng.choice([1e307, 1e308, 1.7e308], edges).tolist())
+        oracle = graev_oracle(spec)
+    table = oracle.table()
+    certified = _spec_certified(oracle)
+    if certified:
+        assert check_norm_axioms(NormOracle(oracle.rank, table=table)).passed
+    if kind == "weighted":
+        assert certified == bool(np.isfinite(table).all())
+    # a restriction keeps its spec, and the certificate speaks for the spec
+    assert _spec_certified(restrict_oracle(oracle, 1)) == certified
+    assert not _spec_certified(NormOracle(oracle.rank, table=table))
+
+
+def test_the_certificate_refuses_a_metric_with_admitted_slack(slack_dist):
+    from boolnorm.norms import _spec_certified
+
+    assert not _spec_certified(graev_oracle(MetricSpec(slack_dist)))
+    base = closure_norm(BaseCostTable(2, (0.0, 1.0, 3.0, 2.0)))
+    assert _spec_certified(base)

@@ -14,7 +14,6 @@ from boolnorm import (
     RowRecord,
     SearchBoundExceededError,
     WeightSpec,
-    gf2_rank,
     reduce_basis,
     reduce_basis_report,
     span_elements,
@@ -24,7 +23,7 @@ from boolnorm import (
 )
 from boolnorm.instances import random_base_table, random_norm, rng_from
 from boolnorm.norms import closure_norm
-from boolnorm.reduction import DEFAULT_SEARCH_BOUND, _argmin_dense
+from boolnorm.reduction import DEFAULT_SEARCH_BOUND
 
 
 def argmin_exhaustive(oracle, offset, rows):
@@ -235,25 +234,25 @@ def test_dense_gray_and_pruned_agree_on_tie_heavy_norms(data):
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_argmin_dense_matches_references_on_arbitrary_cosets(data):
-    # cosets of any offset by any independent rows, not only the triangular
-    # ones reduce walks: the dense argmin and its tie-break on its own
-    rank = data.draw(st.integers(min_value=1, max_value=6))
-    costs = tie_heavy_table(data, rank, [1.0, 2.0, 3.0])
-    candidates = data.draw(st.lists(st.integers(1, (1 << rank) - 1), max_size=rank))
-    span_rows = []
-    for row in candidates:  # keep an independent, non-triangular subset
-        if gf2_rank(span_rows + [row]) > len(span_rows):
-            span_rows.append(row)
-    offset = data.draw(st.integers(0, (1 << rank) - 1))
-    members = span_elements(span_rows) ^ offset
+def test_row_cosets_are_the_top_letter_slices(data):
+    # the fact the plain search rests on: rows 1..k-1 of a reduced basis
+    # span exactly the masks below 2**(k-1), so row k's coset is the slice
+    # [2**(k-1), 2**k), and row k is that slice's minimum under (norm,
+    # lexicographic support); arbitrary tables, ties and inf included
+    rank = data.draw(st.integers(min_value=1, max_value=8))
+    costs = tie_heavy_table(data, rank, [1.0, 2.0, 3.0, float("inf")])
     for oracle in (
         NormOracle(rank, table=costs),
-        closure_norm(BaseCostTable(rank, tuple(costs.tolist()))),
+        closure_norm(BaseCostTable(rank, tuple(np.minimum(costs, 4.0).tolist()))),
     ):
-        expect, expect_norm = brute_coset_min(oracle, offset, span_rows)
-        assert _argmin_dense(members, oracle.values(members)) == (expect, expect_norm)
-        assert argmin_exhaustive(oracle, offset, span_rows)[:2] == (expect, expect_norm)
+        basis = reduce_basis(oracle, rank)
+        for k in range(1, rank + 1):
+            size = 1 << (k - 1)
+            earlier = basis.rows[: k - 1]
+            assert sorted(span_elements(earlier).tolist()) == list(range(size))
+            expect = min(range(size, 2 * size), key=lambda g: (oracle(g), support(g)))
+            assert basis.rows[k - 1] == expect
+            assert brute_coset_min(oracle, size, earlier) == (expect, oracle(expect))
 
 
 @pytest.mark.parametrize("prune", [False, True])
@@ -284,3 +283,22 @@ def test_reduce_refuses_tables_beyond_physical_memory(monkeypatch):
     assert peak < 1 << 20
     # the same spec reduces at a rank whose table fits
     assert reduce_basis(oracle, 10).rows == tuple(1 << j for j in range(10))
+
+
+@pytest.mark.parametrize("family", ["weighted", "graev"])
+def test_plain_search_reads_the_table_in_place(family):
+    # on a prebuilt table the search allocates one slice-sized bool mask at
+    # a time, not a span of the earlier rows (8 bytes per coset member) or
+    # a gather of the table through it
+    rank = 18
+    _, oracle = random_norm(rng_from(26, rank), rank, family)
+    oracle.table()
+    tracemalloc.start()
+    try:
+        basis, records = reduce_basis_report(oracle, rank)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << (rank - 1)
+    assert [rec.coset_size for rec in records] == [1 << k for k in range(rank)]
+    assert basis == reduce_basis(oracle, rank, prune=True)
