@@ -84,7 +84,7 @@ def _require_axioms(oracle: NormOracle, rank: int) -> None:
     # Generators above the gated ones still reach the commands (verify
     # --basis reads rows up to the spec's rank), so the spec itself must be
     # a norm.
-    if oracle.rank > gated and not _spec_certified(oracle):
+    if oracle.rank > gated and not _spec_certified(oracle.spec):
         raise ValueError(
             f"norm axioms unchecked: the gate scanned generators 1..{gated} of a rank-"
             f"{oracle.rank} {oracle.kind} spec and can neither prove nor scan the rest"

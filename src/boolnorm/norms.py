@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -226,15 +226,18 @@ class NormOracle:
     """Total nonnegative map on a rank-n truncation, stored as one dense
     float64 table indexed by element mask.
 
-    Oracles built from a spec or a function materialize lazily and only the
-    prefix a caller needs: the values on generators 1..m are the first 2**m
-    entries, so a query below 2**m never builds the rest.  A query of a few
-    elements far above the built prefix is answered element by element
-    instead, so it costs what those elements cost, not 2**m.  Construction
-    performs no axiom validation on purpose: raw cost tables must be
-    runnable through the same checkers as genuine norms.  An oracle a
-    norm builder made keeps its spec for check_norm_axioms and a read-only
-    table.
+    The values come from exactly one source: a table of all 2**rank values,
+    or a norm spec (WeightSpec, MetricSpec, or BaseCostTable for its
+    closure) with at least rank generators.  Never both: check_norm_axioms
+    passes an oracle with a spec by the spec's proof, which speaks only
+    for the values the spec builds.  A spec's table is built lazily and only
+    the prefix a caller needs: the values on generators 1..m are the first
+    2**m entries, so a query below 2**m never builds the rest.  A query of
+    a few weighted or graev elements far above the built prefix is answered
+    element by element instead, so it costs what those elements cost, not
+    2**m.  Construction performs no axiom validation on purpose: raw cost
+    tables must be runnable through the same checkers as genuine norms.  A
+    spec's table is read-only.
     """
 
     # A query builds its prefix when the prefix has at most this many
@@ -244,28 +247,20 @@ class NormOracle:
     def __init__(
         self,
         rank: int,
-        fn: Callable[[Element], float] | None = None,
         table: np.ndarray | None = None,
         kind: str = "custom",
-        build: Callable[[int], np.ndarray] | None = None,
+        spec: WeightSpec | MetricSpec | BaseCostTable | None = None,
     ) -> None:
-        """Values come from table (all 2**rank values) or from fn (one
-        element to its value); build (m to the table over generators 1..m)
-        optionally fills prefixes of an fn oracle faster than fn would."""
         if rank < 1:
             raise ValueError("rank must be >= 1")
-        if (fn is None) == (table is None):
-            raise ValueError("exactly one of fn or table is required")
-        if build is not None and fn is None:
-            raise ValueError("build needs fn for single elements")
+        if (table is None) == (spec is None):
+            raise ValueError("exactly one of table or spec is required")
+        if spec is not None and spec.rank < rank:
+            raise ValueError(f"a rank-{spec.rank} spec cannot give a rank-{rank} oracle")
         self.rank = rank
         self.kind = kind
+        self.spec = spec
         self._array: np.ndarray | None = None
-        self._spec: WeightSpec | MetricSpec | BaseCostTable | None = None
-        self._fn = fn
-        if build is None and fn is not None:
-            build = lambda m: np.fromiter(map(fn, range(1 << m)), dtype=float, count=1 << m)  # noqa: E731
-        self._build = build
         if table is not None:
             arr = np.asarray(table, dtype=float)
             if arr.shape != (1 << rank,):
@@ -277,7 +272,7 @@ class NormOracle:
         arr = self._array
         if arr is None or arr.size < 1 << m:
             require_memory(8 << m, f"a rank-{m} norm table")
-            arr = self._array = np.asarray(self._build(m), dtype=float)
+            arr = self._array = _spec_table(self.spec, m)
             arr.flags.writeable = False
         return arr[: 1 << m]
 
@@ -305,12 +300,24 @@ class NormOracle:
         if arr is not None and top < arr.size:
             return arr[masks]
         m = top.bit_length()
-        if 1 << m <= max(self.DENSE_QUERY_FLOOR, 4 * masks.size):
+        spec = self.spec
+        dense = 1 << m <= max(self.DENSE_QUERY_FLOOR, 4 * masks.size)
+        if dense or isinstance(spec, BaseCostTable):  # a closure has no element path
             return self._prefix(m)[masks]
-        fn = self._fn
+        norm = weighted_norm if isinstance(spec, WeightSpec) else graev_norm
         return np.fromiter(
-            (fn(g) for g in masks.ravel().tolist()), dtype=float, count=masks.size
+            (norm(spec, g) for g in masks.ravel().tolist()), dtype=float, count=masks.size
         ).reshape(masks.shape)
+
+
+def _spec_table(spec: WeightSpec | MetricSpec | BaseCostTable, m: int) -> np.ndarray:
+    """The values the spec gives on generators 1..m."""
+    if isinstance(spec, WeightSpec):
+        return _weighted_table(spec.weights, m)
+    if isinstance(spec, MetricSpec):
+        return _graev_table(spec.dist, m)
+    # A closure value on generators 1..m may use parts above m.
+    return _closure_table(spec)[: 1 << m]
 
 
 def weighted_norm(spec: WeightSpec, g: Element) -> float:
@@ -336,19 +343,8 @@ def _weighted_table(weights: tuple[float, ...], m: int) -> np.ndarray:
     return t
 
 
-def _with_spec(oracle: NormOracle, spec) -> NormOracle:
-    oracle._spec = spec
-    return oracle
-
-
 def weighted_oracle(spec: WeightSpec) -> NormOracle:
-    oracle = NormOracle(
-        spec.rank,
-        fn=lambda g: weighted_norm(spec, g),
-        build=lambda m: _weighted_table(spec.weights, m),
-        kind="weighted",
-    )
-    return _with_spec(oracle, spec)
+    return NormOracle(spec.rank, kind="weighted", spec=spec)
 
 
 def _pairing_cost(dist: tuple[tuple[float, ...], ...], mask: int, memo: dict[int, float]) -> float:
@@ -430,13 +426,7 @@ def _graev_table(dist: tuple[tuple[float, ...], ...], m: int) -> np.ndarray:
 
 
 def graev_oracle(spec: MetricSpec) -> NormOracle:
-    oracle = NormOracle(
-        spec.rank,
-        fn=lambda g: graev_norm(spec, g),
-        build=lambda m: _graev_table(spec.dist, m),
-        kind="graev",
-    )
-    return _with_spec(oracle, spec)
+    return NormOracle(spec.rank, kind="graev", spec=spec)
 
 
 def closure_norm(base: BaseCostTable) -> NormOracle:
@@ -467,6 +457,13 @@ def closure_norm(base: BaseCostTable) -> NormOracle:
     at any tol >= about 2^-37 up to the rank bound, so check_norm_axioms
     passes the oracle without the scan (the proof is at _proved).
     """
+    oracle = NormOracle(base.rank, kind="closure", spec=base)
+    oracle._prefix(base.rank)
+    return oracle
+
+
+def _closure_table(base: BaseCostTable) -> np.ndarray:
+    """The closure of base on all its generators (see closure_norm)."""
     n = base.rank
     if n > EXHAUSTIVE_RANK_BOUND:
         raise RankTooLargeError(
@@ -503,8 +500,7 @@ def closure_norm(base: BaseCostTable) -> NormOracle:
                 top = dist.max().item()
                 start += us.size
                 width *= 2
-    dist.flags.writeable = False
-    return _with_spec(NormOracle(n, table=dist, kind="closure"), base)
+    return dist
 
 
 def _window_end(ascending: np.ndarray, base: float, top: float) -> int:
@@ -537,13 +533,17 @@ def coordinate_norm(basis: Basis, oracle: NormOracle) -> NormOracle:
 
 def restrict_oracle(oracle: NormOracle, rank: int) -> NormOracle:
     """The oracle on a smaller truncation: the first 2**rank table entries.
-    It keeps the spec: each proof at _proved covers every restriction."""
+    It keeps the spec, each proof at _proved covering every restriction, and
+    takes the prefix the parent built, so a closure is relaxed only once."""
     if rank > oracle.rank:
         raise ValueError(f"cannot restrict rank-{oracle.rank} oracle to rank {rank}")
     if rank == oracle.rank:
         return oracle
-    restricted = NormOracle(rank, table=oracle._prefix(rank), kind=oracle.kind)
-    return _with_spec(restricted, oracle._spec)
+    if oracle.spec is None:
+        return NormOracle(rank, table=oracle._prefix(rank), kind=oracle.kind)
+    restricted = NormOracle(rank, kind=oracle.kind, spec=oracle.spec)
+    restricted._array = oracle._prefix(rank)
+    return restricted
 
 
 @dataclass(frozen=True)
@@ -600,7 +600,7 @@ def check_norm_axioms(oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE) ->
             return AxiomReport(
                 False, pairs, AxiomViolation(axiom, support(g), None, float(t[g]), bound)
             )
-    if _proved(oracle._spec, n, tol):
+    if _proved(oracle.spec, n, tol):
         return AxiomReport(True, pairs, None)
     # The values are now finite and nonnegative, so with tol >= 0 only pairs
     # with lhs > rhs can be bad, and lhs <= T bounds rhs below T.  bad(g, h)
@@ -645,7 +645,7 @@ def _proved(spec, n: int, tol: float) -> bool:
     # product that underflows matters only where every sum is subnormal and
     # so exact.  The scan visits no pair whose rhs overflows.
     if isinstance(spec, BaseCostTable):
-        # A closure table t = closure_norm(spec) passes at any tol >= 2^-37,
+        # A closure table t = _closure_table(spec) passes at any tol >= 2^-37,
         # and so does each restriction, whose pairs are pairs of t:
         # - 0 < cheapest <= t[g] <= costs[g] < inf for g != 0, since a
         #   BaseCostTable admits only positive finite costs;
@@ -659,7 +659,7 @@ def _proved(spec, n: int, tol: float) -> bool:
         #   reaches g ^ h, so lhs = t[g ^ h] <= (t[g] + Σq)(1 + u)^k; and
         #   t[h] >= Σq (1 - u)^(k-1), rhs = fl(t[g] + t[h]) >=
         #   (t[g] + t[h])(1 - u), so lhs <= rhs ((1 + u) / (1 - u))^k;
-        # - at n <= 14 (closure_norm's bound) that factor is below
+        # - at n <= 14 (_closure_table's bound) that factor is below
         #   1 + 2^-38, which 2^-37 covers twice over and RELATIVE_TOLERANCE
         #   about 270 times; g = h gives lhs 0.
         return tol >= 2.0**-37
@@ -711,11 +711,10 @@ def _proved(spec, n: int, tol: float) -> bool:
     return False
 
 
-def _spec_certified(oracle: NormOracle) -> bool:
-    """Whether the table the oracle's spec builds at the spec's full rank
-    would pass check_norm_axioms at RELATIVE_TOLERANCE, read off the spec
-    without building the table or scanning it, at any rank."""
-    spec = oracle._spec
+def _spec_certified(spec) -> bool:
+    """Whether the table spec builds at its full rank would pass
+    check_norm_axioms at RELATIVE_TOLERANCE, read off the spec without
+    building the table or scanning it, at any rank."""
     # Zero at zero holds for every builder.  Finite and positive: rounded
     # addition is monotone and fl(a + w) >= a for w >= 0, so a fold of a
     # subsequence of positive terms is positive and at most the fold of the
@@ -728,7 +727,7 @@ def _spec_certified(oracle: NormOracle) -> bool:
     #   g's top letter down, and t[g], the least pairing, is at most the
     #   same fold over all the letters.  Distances off the diagonal are
     #   positive;
-    # - closure: closure_norm builds rank 14 at most, and 0 < t[g] <=
+    # - closure: _closure_table builds rank 14 at most, and 0 < t[g] <=
     #   costs[g] < inf, as _proved shows.
     # Subadditivity is _proved's, at rank n.  Its error bounds, (2n + 2)u
     # for weighted and (13n + 2)u for graev, stay 10 times below

@@ -577,7 +577,7 @@ def test_campaign_gates_a_fixed_norm(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["closure", "weighted", "graev"])
 @pytest.mark.parametrize("command", ["reduce", "verify", "rebase", "campaign"])
-def test_the_gate_scans_weighted_and_graev_specs_only(tmp_path, monkeypatch, command, kind):
+def test_every_command_gates_each_kind_by_its_spec(tmp_path, monkeypatch, command, kind):
     # Every command gates every kind with one check_norm_axioms call on the
     # restriction to --rank, and that call passes by the spec's proof with
     # no scan row (no _window_end call).  --rank is below the spec's rank,

@@ -855,8 +855,8 @@ def test_axiom_checker_flags_non_finite_values(bad):
     assert not report.passed
     assert report.violation.axiom == "finite"
     assert report.violation.g == (2,)
-    fn_oracle = NormOracle(3, fn=lambda g: bad if g == 5 else float(g.bit_count()))
-    assert check_norm_axioms(fn_oracle).violation.g == (1, 3)
+    popcounts = NormOracle(3, table=[0.0, 1.0, 1.0, 2.0, 1.0, bad, 2.0, 3.0])
+    assert check_norm_axioms(popcounts).violation.g == (1, 3)
     # a non-finite value is reported before a nonpositive one
     both = NormOracle(2, table=np.array([0.0, -1.0, bad, 2.0]))
     assert check_norm_axioms(both).violation.axiom == "finite"
@@ -979,6 +979,40 @@ def test_a_graev_table_with_one_raised_entry_is_scanned(monkeypatch):
     assert rows
     assert not report.passed
     assert report.violation.lhs == table[0b10011]
+
+
+def test_an_oracle_takes_a_table_or_a_spec_never_both():
+    # check_norm_axioms passes an oracle with a spec by the spec's proof.
+    # This table fails the scan, t[{2}] = 5 > t[{1}] + t[{1,2}] = 2, while
+    # the proof for the weights holds: with both, the table would pass.
+    table, spec = [0.0, 1.0, 5.0, 1.0], WeightSpec((1.0, 1.0))
+    assert check_norm_axioms(NormOracle(2, table=table)).violation.axiom == "subadditivity"
+    assert check_norm_axioms(NormOracle(2, spec=spec)).passed
+    with pytest.raises(ValueError, match="exactly one of table or spec is required"):
+        NormOracle(2, table=table, spec=spec)
+    with pytest.raises(ValueError, match="exactly one of table or spec is required"):
+        NormOracle(2)
+    with pytest.raises(ValueError, match="a rank-2 spec cannot give a rank-3 oracle"):
+        NormOracle(3, spec=spec)
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        NormOracle(0, table=[0.0])
+    with pytest.raises(ValueError, match=r"table must have 2\*\*2 entries"):
+        NormOracle(2, table=[0.0, 1.0, 1.0])
+
+
+def test_a_closure_prefix_reads_parts_above_it(monkeypatch):
+    # {1} costs 5 alone but 2 as {2} + {1,2}: the closure on generator 1
+    # is read off the closure on both, not taken of the cost of {1}.
+    import boolnorm.norms as norms
+
+    base = BaseCostTable(2, (0.0, 5.0, 1.0, 1.0))
+    assert NormOracle(1, kind="closure", spec=base).table().tolist() == [0.0, 2.0]
+    relaxed, closure_table = [], norms._closure_table
+    monkeypatch.setattr(norms, "_closure_table", lambda b: relaxed.append(b) or closure_table(b))
+    restricted = restrict_oracle(closure_norm(base), 1)
+    assert restricted.spec == base and restricted.table().tolist() == [0.0, 2.0]
+    assert check_norm_axioms(restricted).passed
+    assert len(relaxed) == 1  # the restriction takes its parent's table
 
 
 def test_builders_hand_out_read_only_tables():
@@ -1281,7 +1315,6 @@ def test_coordinate_norm_and_restriction_match_per_element(data):
     restricted = restrict_oracle(oracle, m)
     assert restricted.rank == m
     assert restricted.table().tolist() == [oracle(g) for g in range(1 << m)]
-    assert restricted.table().tolist() == NormOracle(m, fn=oracle).table().tolist()
 
     rows = data.draw(st.lists(st.integers(0, (1 << rank) - 1), min_size=1, max_size=rank))
     triangular = tuple((1 << j) | (r & ((1 << j) - 1)) for j, r in enumerate(rows))
@@ -1305,35 +1338,35 @@ def test_oracle_builds_only_the_prefix_it_needs():
     assert peak < 1 << 20  # far below the 8 GiB of a rank-30 table
 
 
-def test_few_high_elements_are_evaluated_one_by_one():
-    weights = tuple(1.0 + i / 50 for i in range(50))
-    metric = MetricSpec(tuple(tuple(float(i != j) for j in range(41)) for i in range(41)))
-    calls = []
+def test_few_high_elements_are_evaluated_one_by_one(monkeypatch):
+    import boolnorm.norms as norms
 
-    def fn(g):
-        calls.append(g)
-        return float(bin(g).count("1"))
+    spec = WeightSpec(tuple(1.0 + i / 50 for i in range(50)))
+    metric = MetricSpec(tuple(tuple(float(i != j) for j in range(41)) for i in range(41)))
+    calls, builds = [], []
+    scalar, build = norms.weighted_norm, norms._weighted_table
+    monkeypatch.setattr(norms, "weighted_norm", lambda s, g: calls.append(g) or scalar(s, g))
+    monkeypatch.setattr(norms, "_weighted_table", lambda w, m: builds.append(m) or build(w, m))
 
     high = [1 << 49, from_support([3, 47]), from_support([1, 30, 50])]
     tracemalloc.start()
     try:
-        weighted = weighted_oracle(WeightSpec(weights))
+        weighted = weighted_oracle(spec)
         for g in high:
-            assert weighted(g) == weighted_norm(WeightSpec(weights), g)
-        assert weighted.values(np.array(high)).tolist() == [weighted(g) for g in high]
+            assert weighted(g) == scalar(spec, g)
+        assert weighted.values(np.array(high)).tolist() == [scalar(spec, g) for g in high]
         graev = graev_oracle(metric)
         assert graev(from_support([2, 40])) == graev_norm(metric, from_support([2, 40])) == 1.0
-        counted = NormOracle(50, fn=fn)
-        assert counted.values(np.array(high)).tolist() == [1.0, 2.0, 3.0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    assert calls == high
+    assert calls == high + high and builds == []
     # a query that fills much of its prefix builds the prefix once
-    dense = NormOracle(14, fn=fn)
-    assert dense.values(np.arange(1 << 13, 1 << 14)).size == 1 << 13
-    assert dense(5) == 2.0 and len(calls) == 3 + (1 << 14)
+    dense = np.arange(1 << 13, 1 << 14)
+    assert weighted.values(dense).tolist() == [scalar(spec, g) for g in dense.tolist()]
+    assert weighted(5) == scalar(spec, 5)
+    assert builds == [14] and calls == high + high
 
 
 def test_out_of_rank_and_negative_masks_raise():
@@ -1399,19 +1432,18 @@ def test_a_certified_spec_passes_the_axiom_scan(data, kind):
             spec = huge_metric(rank, rng.choice([1e307, 1e308, 1.7e308], edges).tolist())
         oracle = graev_oracle(spec)
     table = oracle.table()
-    certified = _spec_certified(oracle)
+    certified = _spec_certified(oracle.spec)
     if certified:
         assert check_norm_axioms(NormOracle(oracle.rank, table=table)).passed
     if kind == "weighted":
         assert certified == bool(np.isfinite(table).all())
     # a restriction keeps its spec, and the certificate speaks for the spec
-    assert _spec_certified(restrict_oracle(oracle, 1)) == certified
-    assert not _spec_certified(NormOracle(oracle.rank, table=table))
+    assert _spec_certified(restrict_oracle(oracle, 1).spec) == certified
+    assert not _spec_certified(NormOracle(oracle.rank, table=table).spec)
 
 
 def test_the_certificate_refuses_a_metric_with_admitted_slack(slack_dist):
     from boolnorm.norms import _spec_certified
 
-    assert not _spec_certified(graev_oracle(MetricSpec(slack_dist)))
-    base = closure_norm(BaseCostTable(2, (0.0, 1.0, 3.0, 2.0)))
-    assert _spec_certified(base)
+    assert not _spec_certified(MetricSpec(slack_dist))
+    assert _spec_certified(BaseCostTable(2, (0.0, 1.0, 3.0, 2.0)))
