@@ -58,22 +58,24 @@ def _emit_json(payload: Mapping, out: str | None) -> None:
 
 
 def _load_oracle(args) -> tuple[NormOracle, int]:
-    oracle = oracle_for(parse_norm_spec(_load_json(args.norm)))
+    oracle = _load_norm(args.norm)
     rank = args.rank if args.rank is not None else oracle.rank
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if rank > oracle.rank:
         raise ValueError(f"norm spec covers rank {oracle.rank}, requested {rank}")
-    _require_axioms(oracle, rank)
     return oracle, rank
 
 
-def _require_axioms(oracle: NormOracle, rank: int) -> None:
-    """The axiom gate: refuse an oracle that is not a norm on the truncation
-    to rank generators, or whose spec is not certified a norm as a whole."""
-    # The gate checks the truncation, or above the exhaustive bound its
-    # largest checkable restriction; a restriction of a norm is again a norm.
-    gated = min(rank, EXHAUSTIVE_RANK_BOUND)
+def _load_norm(path: str) -> NormOracle:
+    """The spec's oracle, behind the axiom gate: refuse a spec that is not a
+    norm on all its generators.  The gate reads the spec alone; no --rank
+    plays a part in it."""
+    oracle = oracle_for(parse_norm_spec(_load_json(path)))
+    # The gate checks the spec's truncation, or above the exhaustive bound
+    # its largest checkable restriction; a restriction of a norm is again a
+    # norm.
+    gated = min(oracle.rank, EXHAUSTIVE_RANK_BOUND)
     report = check_norm_axioms(restrict_oracle(oracle, gated))
     if not report.passed:
         v = report.violation
@@ -89,6 +91,7 @@ def _require_axioms(oracle: NormOracle, rank: int) -> None:
             f"norm axioms unchecked: the gate scanned generators 1..{gated} of a rank-"
             f"{oracle.rank} {oracle.kind} spec and can neither prove nor scan the rest"
         )
+    return oracle
 
 
 def _parse_checks(text: str, allowed: tuple[str, ...]) -> tuple[str, ...]:
@@ -184,9 +187,7 @@ def cmd_rebase(args) -> int:
 
 def cmd_campaign(args) -> int:
     checks = _parse_checks(args.checks, CHECK_NAMES)
-    norm = None
-    if args.norm is not None:
-        norm = oracle_for(parse_norm_spec(_load_json(args.norm)))
+    norm = None if args.norm is None else _load_norm(args.norm)
     cfg = CampaignConfig(
         rank=args.rank,
         trials=args.trials,
@@ -196,10 +197,6 @@ def cmd_campaign(args) -> int:
         seed=args.seed,
         threads=args.threads,
     )
-    if norm is not None:
-        # The config has checked the rank (at most the exhaustive bound),
-        # and every trial reads only this truncation.
-        _require_axioms(norm, cfg.rank)
     rows, summary = run_campaign(cfg)
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         write_csv(rows, fh)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
@@ -51,6 +51,7 @@ def exceeds(lhs, rhs, tol: float = RELATIVE_TOLERANCE):
 class WeightSpec:
     """Positive per-letter weights for generators 1..rank."""
 
+    kind: ClassVar[str] = "weighted"
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
@@ -71,6 +72,7 @@ class MetricSpec:
     """Finite metric on points 0..n; point 0 doubles as the basepoint and
     point i stands for generator i."""
 
+    kind: ClassVar[str] = "graev"
     dist: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
@@ -138,6 +140,7 @@ class BaseCostTable:
     0.0 and the other 2**rank - 1 entries must be positive finite reals.
     """
 
+    kind: ClassVar[str] = "closure"
     rank: int
     costs: np.ndarray
 
@@ -230,14 +233,15 @@ class NormOracle:
     or a norm spec (WeightSpec, MetricSpec, or BaseCostTable for its
     closure) with at least rank generators.  Never both: check_norm_axioms
     passes an oracle with a spec by the spec's proof, which speaks only
-    for the values the spec builds.  A spec's table is built lazily and only
-    the prefix a caller needs: the values on generators 1..m are the first
-    2**m entries, so a query below 2**m never builds the rest.  A query of
-    a few weighted or graev elements far above the built prefix is answered
-    element by element instead, so it costs what those elements cost, not
-    2**m.  Construction performs no axiom validation on purpose: raw cost
-    tables must be runnable through the same checkers as genuine norms.  A
-    spec's table is read-only.
+    for the values the spec builds.  The spec also names the oracle's kind.
+    A weighted or graev spec's table is built lazily and only the prefix a
+    caller needs: the values on generators 1..m are the first 2**m entries,
+    so a query below 2**m never builds the rest.  A query of a few of its
+    elements far above the built prefix is answered element by element
+    instead, so it costs what those elements cost, not 2**m.  A closure is
+    relaxed whole, once, on the first query.  Construction performs no axiom
+    validation on purpose: raw cost tables must be runnable through the same
+    checkers as genuine norms.  A spec's table is read-only.
     """
 
     # A query builds its prefix when the prefix has at most this many
@@ -248,7 +252,6 @@ class NormOracle:
         self,
         rank: int,
         table: np.ndarray | None = None,
-        kind: str = "custom",
         spec: WeightSpec | MetricSpec | BaseCostTable | None = None,
     ) -> None:
         if rank < 1:
@@ -258,7 +261,6 @@ class NormOracle:
         if spec is not None and spec.rank < rank:
             raise ValueError(f"a rank-{spec.rank} spec cannot give a rank-{rank} oracle")
         self.rank = rank
-        self.kind = kind
         self.spec = spec
         self._array: np.ndarray | None = None
         if table is not None:
@@ -267,12 +269,19 @@ class NormOracle:
                 raise ValueError(f"table must have 2**{rank} entries")
             self._array = arr
 
+    @property
+    def kind(self) -> str:
+        """The spec's kind, or "table" for an oracle built from a table."""
+        return "table" if self.spec is None else self.spec.kind
+
     def _prefix(self, m: int) -> np.ndarray:
         """Values on generators 1..m: the first 2**m table entries."""
         arr = self._array
         if arr is None or arr.size < 1 << m:
             require_memory(8 << m, f"a rank-{m} norm table")
-            arr = self._array = _spec_table(self.spec, m)
+            # No entry above the rank is kept: __call__ answers any mask
+            # below the table's size.
+            arr = self._array = _spec_table(self.spec, m)[: 1 << self.rank]
             arr.flags.writeable = False
         return arr[: 1 << m]
 
@@ -311,13 +320,14 @@ class NormOracle:
 
 
 def _spec_table(spec: WeightSpec | MetricSpec | BaseCostTable, m: int) -> np.ndarray:
-    """The values the spec gives on generators 1..m."""
+    """The values the spec gives on generators 1..m, or for a closure on
+    all its generators: a closure value on 1..m may use parts above m, so
+    the closure is relaxed whole, once."""
     if isinstance(spec, WeightSpec):
         return _weighted_table(spec.weights, m)
     if isinstance(spec, MetricSpec):
         return _graev_table(spec.dist, m)
-    # A closure value on generators 1..m may use parts above m.
-    return _closure_table(spec)[: 1 << m]
+    return _closure_table(spec)
 
 
 def weighted_norm(spec: WeightSpec, g: Element) -> float:
@@ -344,7 +354,7 @@ def _weighted_table(weights: tuple[float, ...], m: int) -> np.ndarray:
 
 
 def weighted_oracle(spec: WeightSpec) -> NormOracle:
-    return NormOracle(spec.rank, kind="weighted", spec=spec)
+    return NormOracle(spec.rank, spec=spec)
 
 
 def _pairing_cost(dist: tuple[tuple[float, ...], ...], mask: int, memo: dict[int, float]) -> float:
@@ -426,7 +436,7 @@ def _graev_table(dist: tuple[tuple[float, ...], ...], m: int) -> np.ndarray:
 
 
 def graev_oracle(spec: MetricSpec) -> NormOracle:
-    return NormOracle(spec.rank, kind="graev", spec=spec)
+    return NormOracle(spec.rank, spec=spec)
 
 
 def closure_norm(base: BaseCostTable) -> NormOracle:
@@ -457,7 +467,7 @@ def closure_norm(base: BaseCostTable) -> NormOracle:
     at any tol >= about 2^-37 up to the rank bound, so check_norm_axioms
     passes the oracle without the scan (the proof is at _proved).
     """
-    oracle = NormOracle(base.rank, kind="closure", spec=base)
+    oracle = NormOracle(base.rank, spec=base)
     oracle._prefix(base.rank)
     return oracle
 
@@ -518,7 +528,7 @@ def _window_end(ascending: np.ndarray, base: float, top: float) -> int:
 
 def table_norm(base: BaseCostTable) -> NormOracle:
     """Cost table used directly as a candidate norm, no closure applied."""
-    return NormOracle(base.rank, table=base.costs, kind="table")
+    return NormOracle(base.rank, table=base.costs)
 
 
 def coordinate_norm(basis: Basis, oracle: NormOracle) -> NormOracle:
@@ -526,9 +536,7 @@ def coordinate_norm(basis: Basis, oracle: NormOracle) -> NormOracle:
     mask c is the norm of the element the coordinates select.  This is again
     a norm because coordinates <-> elements is a group isomorphism."""
     rows = basis.rows
-    return NormOracle(
-        len(rows), table=oracle.values(span_elements(rows)), kind=f"coords[{oracle.kind}]"
-    )
+    return NormOracle(len(rows), table=oracle.values(span_elements(rows)))
 
 
 def restrict_oracle(oracle: NormOracle, rank: int) -> NormOracle:
@@ -540,8 +548,8 @@ def restrict_oracle(oracle: NormOracle, rank: int) -> NormOracle:
     if rank == oracle.rank:
         return oracle
     if oracle.spec is None:
-        return NormOracle(rank, table=oracle._prefix(rank), kind=oracle.kind)
-    restricted = NormOracle(rank, kind=oracle.kind, spec=oracle.spec)
+        return NormOracle(rank, table=oracle._prefix(rank))
+    restricted = NormOracle(rank, spec=oracle.spec)
     restricted._array = oracle._prefix(rank)
     return restricted
 
@@ -751,11 +759,11 @@ def parse_norm_spec(data: Mapping) -> WeightSpec | MetricSpec | BaseCostTable:
     if not isinstance(data, Mapping):
         raise ValueError("norm spec must be a JSON object")
     kind = data.get("kind")
-    if kind == "weighted":
+    if kind == WeightSpec.kind:
         return WeightSpec(_numbers(data["weights"], "weight"))
-    if kind == "graev":
+    if kind == MetricSpec.kind:
         return MetricSpec(tuple(_numbers(row, "distance") for row in data["dist"]))
-    if kind == "closure":
+    if kind == BaseCostTable.kind:
         base = data["base"]
         if not isinstance(base, Mapping):
             raise ValueError("closure base must be a JSON object")
@@ -784,19 +792,17 @@ def _numbers(values, what: str) -> tuple:
 
 def spec_to_json(spec: WeightSpec | MetricSpec | BaseCostTable) -> dict:
     if isinstance(spec, WeightSpec):
-        return {"kind": "weighted", "weights": list(spec.weights)}
+        return {"kind": spec.kind, "weights": list(spec.weights)}
     if isinstance(spec, MetricSpec):
-        return {"kind": "graev", "dist": [list(row) for row in spec.dist]}
+        return {"kind": spec.kind, "dist": [list(row) for row in spec.dist]}
     if isinstance(spec, BaseCostTable):
-        return {"kind": "closure", "base": spec.to_mapping()}
+        return {"kind": spec.kind, "base": spec.to_mapping()}
     raise TypeError(f"not a norm spec: {type(spec).__name__}")
 
 
 def oracle_for(spec: WeightSpec | MetricSpec | BaseCostTable) -> NormOracle:
-    if isinstance(spec, WeightSpec):
-        return weighted_oracle(spec)
-    if isinstance(spec, MetricSpec):
-        return graev_oracle(spec)
     if isinstance(spec, BaseCostTable):
         return closure_norm(spec)
+    if isinstance(spec, (WeightSpec, MetricSpec)):
+        return NormOracle(spec.rank, spec=spec)
     raise TypeError(f"not a norm spec: {type(spec).__name__}")

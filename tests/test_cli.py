@@ -447,7 +447,7 @@ def test_verify_without_the_gate_fails_on_overflowing_norms(tmp_path, capsys):
     args = ["verify", "--norm", norm, "--rank", "2", "--basis", basis, "--out", str(out)]
     assert main(args) == 2
     err = capsys.readouterr().err
-    assert "the gate scanned generators 1..2 of a rank-16 weighted spec" in err
+    assert "the gate scanned generators 1..14 of a rank-16 weighted spec" in err
     assert "can neither prove nor scan the rest" in err
     assert not out.exists()
 
@@ -575,33 +575,39 @@ def test_campaign_gates_a_fixed_norm(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["closure", "weighted", "graev"])
-@pytest.mark.parametrize("command", ["reduce", "verify", "rebase", "campaign"])
-def test_every_command_gates_each_kind_by_its_spec(tmp_path, monkeypatch, command, kind):
-    # Every command gates every kind with one check_norm_axioms call on the
-    # restriction to --rank, and that call passes by the spec's proof with
-    # no scan row (no _window_end call).  --rank is below the spec's rank,
-    # so a restriction that dropped the spec would be scanned.
+@pytest.fixture
+def gated(monkeypatch):
+    """(rank, scan rows) per gate call: the rank of the oracle the CLI
+    passes to check_norm_axioms, and its _window_end calls."""
     import boolnorm.cli as cli
     import boolnorm.norms as norms
 
+    rows, window_end = [], norms._window_end
+    monkeypatch.setattr(norms, "_window_end", lambda *a: rows.append(a) or window_end(*a))
+    calls, gate = [], cli.check_norm_axioms
+
+    def counting_gate(oracle):
+        before = len(rows)
+        report = gate(oracle)
+        calls.append((oracle.rank, len(rows) - before))
+        return report
+
+    monkeypatch.setattr(cli, "check_norm_axioms", counting_gate)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["closure", "weighted", "graev"])
+@pytest.mark.parametrize("command", ["reduce", "verify", "rebase", "campaign"])
+def test_every_command_gates_each_kind_by_its_spec(tmp_path, gated, command, kind):
+    # Every command gates every kind with one check_norm_axioms call on the
+    # spec's own truncation, whatever --rank says, and that call passes by
+    # the spec's proof with no scan row (no _window_end call).
     from boolnorm.instances import random_norm, rng_from
     from boolnorm.norms import spec_to_json
 
     spec = random_norm(rng_from(0, 5), 5, kind)[0]
     norm = write_json(tmp_path / "norm.json", spec_to_json(spec))
     seq = write_json(tmp_path / "seq.json", [[2], [1, 2, 3], [1, 3, 4]])
-    rows, window_end = [], norms._window_end
-    monkeypatch.setattr(norms, "_window_end", lambda *a: rows.append(a) or window_end(*a))
-    gated, gate = [], cli.check_norm_axioms
-
-    def counting_gate(oracle):
-        before = len(rows)
-        report = gate(oracle)
-        gated.append((oracle.rank, len(rows) - before))
-        return report
-
-    monkeypatch.setattr(cli, "check_norm_axioms", counting_gate)
     out = ["--out", str(tmp_path / "out")]
     args = {
         "reduce": ["reduce", "--norm", norm, "--rank", "4"],
@@ -610,7 +616,55 @@ def test_every_command_gates_each_kind_by_its_spec(tmp_path, monkeypatch, comman
         "campaign": ["campaign", "--rank", "4", "--trials", "2", "--norm", norm],
     }[command]
     assert main(args + out) == 0
-    assert gated == [(4, 0)]
+    assert gated == [(5, 0)]
+
+
+def test_the_gate_restriction_keeps_the_spec(tmp_path, gated):
+    # Above the exhaustive bound the gate checks the rank-14 restriction,
+    # which passes by the spec's proof only if it kept the spec.
+    weights = [1.0 + i / 16 for i in range(16)]
+    norm = write_json(tmp_path / "w16.json", {"kind": "weighted", "weights": weights})
+    assert main(["reduce", "--norm", norm, "--out", str(tmp_path / "out")]) == 0
+    assert gated == [(14, 0)]
+
+
+# Points 0..3; the triangle (1, 2, 3) holds only to a relative 5e-10, which
+# MetricSpec admits and no proof covers, so the gate scans the spec.
+LOOSE_GRAEV = {
+    "kind": "graev",
+    "dist": [
+        [0.0, 10.0, 10.0, 10.0],
+        [10.0, 0.0, 1.0, 2.0 * (1 + 5e-10)],
+        [10.0, 1.0, 0.0, 1.0],
+        [10.0, 2.0 * (1 + 5e-10), 1.0, 0.0],
+    ],
+}
+
+
+@pytest.mark.parametrize("command", ["reduce", "verify", "campaign"])
+def test_a_smaller_rank_does_not_move_the_gate(tmp_path, command):
+    # The rank-3 spec passes the scan on all its generators, so no --rank
+    # below 3 may turn it away for want of a certificate.
+    norm = write_json(tmp_path / "g.json", LOOSE_GRAEV)
+    basis = write_json(tmp_path / "b.json", [[3]])
+    out = ["--out", str(tmp_path / "out")]
+    args = {
+        "reduce": ["reduce", "--norm", norm, "--rank", "2"],
+        "verify": ["verify", "--norm", norm, "--rank", "2", "--basis", basis],
+        "campaign": ["campaign", "--rank", "2", "--trials", "2", "--norm", norm],
+    }[command]
+    assert main(args + out) == 0
+
+
+def test_a_smaller_rank_reports_the_spec_violation(tmp_path, capsys):
+    # The norm of {3,4} overflows; --rank 2 leaves the gate on all four
+    # generators, so it reports that entry, not a missing certificate.
+    weights = [1.0, 1.0, 1e308, 1e308]
+    norm = write_json(tmp_path / "w.json", {"kind": "weighted", "weights": weights})
+    out = tmp_path / "out.json"
+    assert main(["reduce", "--norm", norm, "--rank", "2", "--out", str(out)]) == 2
+    assert "norm axioms fail (finite) at g=[3, 4]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_campaign_summary_minimum_propagates_nan(monkeypatch):

@@ -1006,13 +1006,61 @@ def test_a_closure_prefix_reads_parts_above_it(monkeypatch):
     import boolnorm.norms as norms
 
     base = BaseCostTable(2, (0.0, 5.0, 1.0, 1.0))
-    assert NormOracle(1, kind="closure", spec=base).table().tolist() == [0.0, 2.0]
+    assert NormOracle(1, spec=base).table().tolist() == [0.0, 2.0]
     relaxed, closure_table = [], norms._closure_table
     monkeypatch.setattr(norms, "_closure_table", lambda b: relaxed.append(b) or closure_table(b))
     restricted = restrict_oracle(closure_norm(base), 1)
     assert restricted.spec == base and restricted.table().tolist() == [0.0, 2.0]
     assert check_norm_axioms(restricted).passed
     assert len(relaxed) == 1  # the restriction takes its parent's table
+
+
+def test_a_closure_oracle_relaxes_its_closure_once(monkeypatch):
+    # A query of one element builds the whole closure, so the full table
+    # that follows reads it and relaxes nothing again.
+    import boolnorm.norms as norms
+
+    base = random_base_table(rng_from(41, 0), 3)
+    relaxed, closure_table = [], norms._closure_table
+    monkeypatch.setattr(norms, "_closure_table", lambda b: relaxed.append(b) or closure_table(b))
+    oracle = NormOracle(3, spec=base)
+    assert oracle(1) == oracle.table()[1]
+    assert oracle.table().tolist() == closure_table(base).tolist()
+    assert len(relaxed) == 1
+
+
+def test_a_closure_oracle_keeps_no_value_above_its_rank():
+    # The whole rank-2 closure is relaxed, but the rank-1 oracle holds only
+    # its own two entries, so a lookup above them still checks the rank.
+    oracle = NormOracle(1, spec=BaseCostTable(2, (0.0, 5.0, 1.0, 1.0)))
+    with pytest.raises(IndexOutOfRankError):
+        oracle(2)
+    assert oracle(1) == 2.0
+    with pytest.raises(IndexOutOfRankError):
+        oracle(2)
+
+
+SPECS = [
+    WeightSpec((1.0, 1.0)),
+    MetricSpec(((0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0))),
+    BaseCostTable(2, (0.0, 1.0, 1.0, 1.5)),
+]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=["weighted", "graev", "closure"])
+def test_an_oracle_reads_its_kind_off_its_spec(spec):
+    assert NormOracle(2, spec=spec).kind == type(spec).kind
+    assert oracle_for(parse_norm_spec(spec_to_json(spec))).kind == type(spec).kind
+    assert spec_to_json(spec)["kind"] == type(spec).kind
+
+
+def test_an_oracle_built_from_a_table_reads_table():
+    oracle = table_norm(BaseCostTable(2, (0.0, 1.0, 1.0, 1.5)))
+    assert oracle.kind == "table"
+    assert restrict_oracle(oracle, 1).kind == "table"
+    basis = GeneralBasis((0b01, 0b11))
+    assert coordinate_norm(basis, oracle).kind == "table"
+    assert coordinate_norm(basis, weighted_oracle(SPECS[0])).kind == "table"
 
 
 def test_builders_hand_out_read_only_tables():

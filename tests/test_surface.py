@@ -72,7 +72,7 @@ PUBLIC_NAMES = [
 # name above, a class counted by its constructor (self excluded); a name
 # with no signature (a constant, the Element alias of int, an error class)
 # counts 0.  A new knob shows here as a diff: update it on purpose only.
-PUBLIC_PARAMETERS = 104
+PUBLIC_PARAMETERS = 103
 
 
 def parameter_count(value) -> int:
@@ -99,4 +99,4 @@ def test_public_parameters_are_pinned():
 def test_norm_oracle_takes_a_table_or_a_spec():
     # Swapping or adding a constructor knob shows here as a named diff.
     params = tuple(inspect.signature(boolnorm.NormOracle).parameters)
-    assert params == ("rank", "table", "kind", "spec")
+    assert params == ("rank", "table", "spec")
