@@ -133,9 +133,16 @@ def span_elements(rows: Sequence[Element]) -> np.ndarray:
     require_int64_masks(rows)
     k = len(rows)
     require_memory(8 << k, f"the span of {k} rows")
-    span = np.zeros(1 << k, dtype=np.int64)
-    for j, row in enumerate(rows):
-        span[1 << j : 2 << j] = span[: 1 << j] ^ row
+    return _spans(np.array(rows, dtype=np.int64).reshape(1, k))[0]
+
+
+def _spans(rows: np.ndarray) -> np.ndarray:
+    """span_elements of each row of a (B, k) int64 stack of bases, as one
+    (B, 2**k) stack."""
+    b, k = rows.shape
+    span = np.zeros((b, 1 << k), dtype=np.int64)
+    for j in range(k):
+        np.bitwise_xor(span[:, : 1 << j], rows[:, j, None], out=span[:, 1 << j : 2 << j])
     return span
 
 

@@ -2,7 +2,9 @@
 
 Each trial draws a norm, reduces a basis, runs the requested checkers, and
 contributes one fixed-column CSV row; trials are independent and seeded per
-index, and run in order on the calling thread.
+index, and run in order on the calling thread.  Trials run in blocks: a
+block stacks its norm tables, reduces and checks every basis in array passes
+over the stack, then rebases trial by trial.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from typing import IO
 
 import numpy as np
 
-from .instances import NORM_FAMILIES, random_norm, random_sequence, rng_from
+from .algebra import TriangularBasis
+from .instances import _SPEC_DRAWERS, NORM_FAMILIES, random_sequence, rng_from
 from .errors import RankTooLargeError
-from .norms import EXHAUSTIVE_RANK_BOUND, NormOracle
+from .norms import _CHUNK, EXHAUSTIVE_RANK_BOUND, NormOracle, _spec_oracles, restrict_oracle
 from .rebasing import build_second_basis, check_witnesses, verify_independence
-from .reduction import reduce_basis
-from .verification import LEMMA_CHECKS, min_separation, run_checks
+from .reduction import _reduced_rows
+from .verification import LEMMA_CHECKS, _check_block
 
 CHECK_NAMES = (*LEMMA_CHECKS, "rebase")
 
@@ -92,43 +95,63 @@ def _rebase_trial(rng, basis, oracle) -> bool:
     return check_witnesses(built, basis, seq, combos)[1] == 0
 
 
-def run_trial(cfg: CampaignConfig, trial: int) -> dict:
-    rng = rng_from(cfg.seed, trial)
+def _run_block(cfg: CampaignConfig, trials: range) -> list[dict]:
+    """The rows of the given trials.  Each draws its norm from its own
+    generator, in trial order; the block reduces and checks every basis in
+    one pass per lemma; then each trial is rebased on its own generator.
+    The checks draw nothing, so every generator sees the draws a trial run
+    alone would make."""
+    rngs = [rng_from(cfg.seed, t) for t in trials]
     if cfg.norm is not None:
-        oracle, family = cfg.norm, cfg.norm.kind
+        family, oracles = cfg.norm.kind, [cfg.norm] * len(trials)
+        # every trial reads the same prefix: broadcast, not copied
+        prefix = restrict_oracle(cfg.norm, cfg.rank).table()
+        tables = np.broadcast_to(prefix, (len(trials), prefix.size))
     else:
-        _, oracle = random_norm(rng, cfg.rank, cfg.family)
         family = cfg.family
-    basis = reduce_basis(oracle, cfg.rank)
-
-    row: dict = {name: "" for name in CSV_COLUMNS}
-    row["trial"] = trial
-    row["family"] = family
-    row["rank"] = cfg.rank
+        oracles = _spec_oracles([_SPEC_DRAWERS[family](rng, cfg.rank) for rng in rngs], cfg.rank)
+        # the stack is read back through each oracle's public table(), so
+        # perfbench's tracer, which wraps it, sees one table read per trial
+        tables = np.stack([oracle.table() for oracle in oracles])
+    bases, _ = _reduced_rows(tables)
     lemmas = [name for name in cfg.checks if name != "rebase"]
-    reports, ratio = run_checks(basis, oracle, lemmas, ratio=True)
-    violations = 0
-    all_ok = True
-    for name in cfg.checks:
-        if name == "rebase":
-            passed = _rebase_trial(rng, basis, oracle)
-            found = int(not passed)
-        else:
-            rep = reports[name]
-            passed, found = rep.passed, len(rep.violations)
-        row[f"{name.lower()}_pass"] = _fmt_bool(passed)
-        all_ok &= passed
-        violations += found
-    row["pass"] = _fmt_bool(all_ok)
-    row["violations"] = violations
-    row["worst_l1_ratio"] = repr(ratio)
-    row["min_epsilon"] = repr(min_separation(basis, oracle))
-    return row
+    reports, ratios, radii = _check_block(tables, bases, lemmas)
+    rows = []
+    for b, (trial, rng, oracle) in enumerate(zip(trials, rngs, oracles)):
+        row: dict = {name: "" for name in CSV_COLUMNS}
+        row["trial"] = trial
+        row["family"] = family
+        row["rank"] = cfg.rank
+        violations = 0
+        all_ok = True
+        for name in cfg.checks:
+            if name == "rebase":
+                basis = TriangularBasis(tuple(bases[b].tolist()))
+                passed = _rebase_trial(rng, basis, oracle)
+                found = int(not passed)
+            else:
+                rep = reports[name][b]
+                passed, found = rep.passed, len(rep.violations)
+            row[f"{name.lower()}_pass"] = _fmt_bool(passed)
+            all_ok &= passed
+            violations += found
+        row["pass"] = _fmt_bool(all_ok)
+        row["violations"] = violations
+        row["worst_l1_ratio"] = repr(ratios[b])
+        row["min_epsilon"] = repr(float(radii[b]))
+        rows.append(row)
+    return rows
 
 
 def run_campaign(cfg: CampaignConfig) -> tuple[list[dict], dict]:
-    """Every trial row, run in order on the calling thread, plus a summary."""
-    rows = [run_trial(cfg, t) for t in range(cfg.trials)]
+    """Every trial row, run in order on the calling thread, plus a summary.
+    A block holds max(1, _CHUNK >> rank) trials, so that each of its
+    (trials, 2**rank) arrays holds at most _CHUNK entries; one block is
+    alive at a time."""
+    step = max(1, _CHUNK >> cfg.rank)
+    rows = []
+    for start in range(0, cfg.trials, step):
+        rows += _run_block(cfg, range(start, min(start + step, cfg.trials)))
     failures = sum(1 for r in rows if r["pass"] != "true")
     summary = {
         "trials": cfg.trials,

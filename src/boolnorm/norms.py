@@ -279,11 +279,16 @@ class NormOracle:
         arr = self._array
         if arr is None or arr.size < 1 << m:
             require_memory(8 << m, f"a rank-{m} norm table")
-            # No entry above the rank is kept: __call__ answers any mask
-            # below the table's size.
-            arr = self._array = _spec_table(self.spec, m)[: 1 << self.rank]
-            arr.flags.writeable = False
+            arr = self._keep(_spec_tables((self.spec,), m)[0])
         return arr[: 1 << m]
+
+    def _keep(self, row: np.ndarray) -> np.ndarray:
+        """Keep row, the values on generators 1..m, as this oracle's
+        read-only table.  No entry above the rank is kept: __call__ answers
+        any mask below the table's size."""
+        arr = self._array = row[: 1 << self.rank]
+        arr.flags.writeable = False
+        return arr
 
     def __call__(self, g: Element) -> float:
         arr = self._array
@@ -319,15 +324,26 @@ class NormOracle:
         ).reshape(masks.shape)
 
 
-def _spec_table(spec: WeightSpec | MetricSpec | BaseCostTable, m: int) -> np.ndarray:
-    """The values the spec gives on generators 1..m, or for a closure on
-    all its generators: a closure value on 1..m may use parts above m, so
-    the closure is relaxed whole, once."""
+def _spec_tables(specs, m: int) -> np.ndarray:
+    """The values each spec gives on generators 1..m, or for a closure on
+    all its generators, as one (B, 2**m) stack; the specs share a kind.  A
+    closure value on 1..m may use parts above m, so each closure is relaxed
+    whole, once, spec by spec."""
+    spec = specs[0]
     if isinstance(spec, WeightSpec):
-        return _weighted_table(spec.weights, m)
+        return _weighted_table(np.array([s.weights[:m] for s in specs]), m)
     if isinstance(spec, MetricSpec):
-        return _graev_table(spec.dist, m)
-    return _closure_table(spec)
+        return _graev_table(np.array([s.dist for s in specs]), m)
+    return np.stack([_closure_table(s) for s in specs])
+
+
+def _spec_oracles(specs, m: int) -> list[NormOracle]:
+    """Rank-m oracles of rank-m specs of one kind, their tables built as
+    one (B, 2**m) stack (_spec_tables): oracle b keeps row b."""
+    oracles = [NormOracle(m, spec=spec) for spec in specs]
+    for oracle, row in zip(oracles, _spec_tables(specs, m)):
+        oracle._keep(row)
+    return oracles
 
 
 def weighted_norm(spec: WeightSpec, g: Element) -> float:
@@ -342,14 +358,15 @@ def weighted_norm(spec: WeightSpec, g: Element) -> float:
     return total
 
 
-def _weighted_table(weights: tuple[float, ...], m: int) -> np.ndarray:
-    # Doubling adds weight i to every mask below 2^i, so each mask sums its
-    # weights in ascending letter order, exactly as weighted_norm does.  A
-    # sum past the float range is inf, which the axiom gate reports.
-    t = np.zeros(1 << m)
+def _weighted_table(weights: np.ndarray, m: int) -> np.ndarray:
+    # One table per row of weights (B, >= m).  Doubling adds weight i to
+    # every mask below 2^i, so each mask sums its weights in ascending letter
+    # order, exactly as weighted_norm does.  A sum past the float range is
+    # inf, which the axiom gate reports.
+    t = np.zeros((len(weights), 1 << m))
     with np.errstate(over="ignore"):
         for i in range(m):
-            t[1 << i : 2 << i] = t[: 1 << i] + weights[i]
+            np.add(t[:, : 1 << i], weights[:, i, None], out=t[:, 1 << i : 2 << i])
     return t
 
 
@@ -394,7 +411,8 @@ def graev_norm(spec: MetricSpec, g: Element) -> float:
     return _pairing_cost(spec.dist, g, {0: 0.0})
 
 
-def _graev_table(dist: tuple[tuple[float, ...], ...], m: int) -> np.ndarray:
+def _graev_table(dist: np.ndarray, m: int) -> np.ndarray:
+    # One table per metric of the stack dist (B, >= m + 1, >= m + 1).
     # _pairing_cost vectorized over all masks whose lowest letter is i, from
     # the top letter down: those masks are the odd multiples of 2^(i-1), and
     # their remainders (the multiples of 2^i) only hold letters above i, so
@@ -414,24 +432,25 @@ def _graev_table(dist: tuple[tuple[float, ...], ...], m: int) -> np.ndarray:
     #   numpy's inner loop is 2 elements long, 2.7 ms for the 2^18 entries
     #   of level 1 against 0.9 ms split and a 0.36 ms contiguous floor.
     # A rank-20 build takes about 28 ms, against 47 ms without the two.
-    t = np.zeros(1 << m)
+    b = len(dist)
+    t = np.zeros((b, 1 << m))
     with np.errstate(over="ignore"):
         for i in range(m, 0, -1):
             step = 1 << i
-            rest = t[::step].copy()  # rest[r] = value at mask r * 2^i
-            best = dist[i][0] + rest
+            rest = t[:, ::step].copy()  # rest[:, r] = value at mask r * 2^i
+            best = dist[:, i, 0, None] + rest
             for p in range(m - i):
                 # masks whose remainder holds letter j = i + 1 + p: bit p of r
-                d = dist[i][i + 1 + p]
+                d = dist[:, i, i + 1 + p, None]
                 if p == 1:
                     for o in (0, 1):
-                        with_j = best[2 + o :: 4]
-                        np.minimum(with_j, d + rest[o :: 4], out=with_j)
+                        with_j = best[:, 2 + o :: 4]
+                        np.minimum(with_j, d + rest[:, o :: 4], out=with_j)
                     continue
-                pairs = rest.reshape(-1, 2, 1 << p)[:, 0, :]
-                with_j = best.reshape(-1, 2, 1 << p)[:, 1, :]
-                np.minimum(with_j, d + pairs, out=with_j)
-            t[step >> 1 :: step] = best
+                pairs = rest.reshape(b, -1, 2, 1 << p)[:, :, 0]
+                with_j = best.reshape(b, -1, 2, 1 << p)[:, :, 1]
+                np.minimum(with_j, d[:, :, None] + pairs, out=with_j)
+            t[:, step >> 1 :: step] = best
     return t
 
 
@@ -550,7 +569,7 @@ def restrict_oracle(oracle: NormOracle, rank: int) -> NormOracle:
     if oracle.spec is None:
         return NormOracle(rank, table=oracle._prefix(rank))
     restricted = NormOracle(rank, spec=oracle.spec)
-    restricted._array = oracle._prefix(rank)
+    restricted._keep(oracle._prefix(rank))
     return restricted
 
 
@@ -672,9 +691,9 @@ def _proved(spec, n: int, tol: float) -> bool:
         #   about 270 times; g = h gives lhs 0.
         return tol >= 2.0**-37
     if isinstance(spec, WeightSpec):
-        # The table is _weighted_table(spec.weights, n): doubling writes the
-        # first 2^n entries from the first n weights alone.  With S_g the
-        # exact sum of the weights of g's letters:
+        # The table is _weighted_table's build of spec.weights on n letters:
+        # doubling writes the first 2^n entries from the first n weights
+        # alone.  With S_g the exact sum of the weights of g's letters:
         # - each t[g] is a sum of at most n positive terms in order, so
         #   t[g] = S_g (1 + θ) with |θ| <= γ_{n-1} = (n-1)u / (1 - (n-1)u);
         #   addition is exact where it underflows, so this holds down to the
@@ -688,8 +707,9 @@ def _proved(spec, n: int, tol: float) -> bool:
         # fail by an ulp, e.g. weights (0.7, 1/3, 1.1, 0.1) at ({3}, {1, 4}).
         return tol >= 2.0**-40
     if isinstance(spec, MetricSpec):
-        # The table is _graev_table(spec.dist, n): the first 2^n entries of a
-        # larger build read only letters up to n, in the same order.  With
+        # The table is _graev_table's build of spec.dist on n letters: the
+        # first 2^n entries of a larger build read only letters up to n, in
+        # the same order.  With
         # D = spec.dist on points 0..n, N_D the exact Graev norm of D (the
         # min over pairings of the exact sum of their distances) and
         # S = N_D(g) + N_D(h):

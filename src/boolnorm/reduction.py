@@ -67,6 +67,44 @@ def _argmin_pruned(
     return min(ties, key=support), best_norm, evaluated
 
 
+def _reduced_rows(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows (B, r) and row norms (B, r) of the reduced bases of a
+    (B, 2**r) stack of norm tables, by plain search: row k of basis b is
+    the cheapest mask of tables[b, 2**(k-1) : 2**k], with ties to the
+    lexicographically smallest support.  Raises NanNormError for the first
+    table holding a NaN, at its first NaN mask."""
+    b, r = len(tables), tables.shape[1].bit_length() - 1
+    rows = np.empty((b, r), dtype=np.int64)
+    norms = np.empty((b, r))
+    for k in range(1, r + 1):
+        size = 1 << (k - 1)
+        coset = tables[:, size : 2 * size]
+        best = coset.min(axis=1)
+        ties = coset == best[:, None]
+        rows[:, k - 1] = ties.argmax(axis=1) + size
+        norms[:, k - 1] = best
+        # Without a NaN every table has at least one minimum, so more than b
+        # of them in all means a tie.  A table with a NaN raises below.
+        if np.count_nonzero(ties) > b:
+            for t in range(b):
+                tied = np.flatnonzero(ties[t]) + size
+                if tied.size > 1:
+                    rows[t, k - 1] = min(map(int, tied), key=support)
+    # A coset minimum is NaN exactly when its slice holds a NaN, and NaN
+    # compares false both ways, so no search could rank it.
+    nan = np.isnan(norms).any(axis=1)
+    if nan.any():
+        _raise_nan(tables[int(nan.argmax())])
+    return rows, norms
+
+
+def _raise_nan(table: np.ndarray) -> None:
+    # The slices partition the nonzero masks in mask order, so the table's
+    # first NaN is in the first slice holding one.
+    g = 1 + int(np.flatnonzero(np.isnan(table[1:]))[0])
+    raise NanNormError(f"norm of {support(g)} is NaN; the coset minimum is undefined")
+
+
 def reduce_basis_report(
     oracle: NormOracle, rank: int, *, prune: bool = False
 ) -> tuple[TriangularBasis, list[RowRecord]]:
@@ -76,8 +114,9 @@ def reduce_basis_report(
     of generator k+1 by span(rows 1..k).  The output is unitriangular by
     construction, so rows 1..k span exactly the masks below 2**k and the
     coset is the table slice [2**k, 2**(k+1)): the masks whose top letter
-    is k+1.  The plain search takes the minimum of that slice in place; the
-    pruned one walks its members depth first.
+    is k+1.  The plain search takes the minimum of that slice in place
+    (_reduced_rows on one table); the pruned one walks its members depth
+    first.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -86,28 +125,23 @@ def reduce_basis_report(
     if rank > DEFAULT_SEARCH_BOUND:
         raise SearchBoundExceededError(f"rank {rank} exceeds search bound {DEFAULT_SEARCH_BOUND}")
     table = restrict_oracle(oracle, rank).table()
-    rows: list[Element] = []
-    records: list[RowRecord] = []
+    if not prune:
+        rows, norms = _reduced_rows(table[None])
+        records = [
+            RowRecord(k, support(elem), norm, 1 << (k - 1), 1 << (k - 1))
+            for k, (elem, norm) in enumerate(zip(rows[0].tolist(), norms[0].tolist()), 1)
+        ]
+        return TriangularBasis(tuple(rows[0].tolist())), records
+    pruned: list[Element] = []
+    records = []
     for k in range(1, rank + 1):
         size = 1 << (k - 1)
-        coset = table[size : 2 * size]
-        best = coset.min()
-        # The slices partition the nonzero masks in mask order, so the first
-        # NaN of the first slice holding one is the table's first.  NaN
-        # compares false both ways, so no search could rank it.
-        if np.isnan(best):
-            g = size + int(np.flatnonzero(np.isnan(coset))[0])
-            raise NanNormError(f"norm of {support(g)} is NaN; the coset minimum is undefined")
-        if prune:
-            elem, norm, evaluated = _argmin_pruned(table, size, tuple(rows))
-        else:
-            # Minimum norm, then lexicographically smallest support among the ties.
-            ties = np.flatnonzero(coset == best) + size
-            elem = int(ties[0]) if ties.size == 1 else min(map(int, ties), key=support)
-            norm, evaluated = float(best), size
-        rows.append(elem)
+        if np.isnan(table[size : 2 * size].min()):
+            _raise_nan(table)
+        elem, norm, evaluated = _argmin_pruned(table, size, tuple(pruned))
+        pruned.append(elem)
         records.append(RowRecord(k, support(elem), norm, size, evaluated))
-    return TriangularBasis(tuple(rows)), records
+    return TriangularBasis(tuple(pruned)), records
 
 
 def reduce_basis(oracle: NormOracle, rank: int, *, prune: bool = False) -> TriangularBasis:

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from boolnorm.cli import main
@@ -195,22 +196,29 @@ def test_campaign_thread_count_does_not_change_bytes(tmp_path):
 
 def test_campaign_runs_every_trial_on_the_calling_thread(monkeypatch):
     """--threads is accepted and has no effect: even with threads=4 and four
-    CPUs, every trial runs on the caller's thread, in trial order."""
+    CPUs, every trial's generator is made on the caller's thread, in trial
+    order, and each trial is rebased there, in trial order."""
     import threading
 
     from boolnorm import campaign
 
-    seen, run_trial = [], campaign.run_trial
+    seen, rng_from, rebase_trial = [], campaign.rng_from, campaign._rebase_trial
 
-    def recording_run_trial(cfg, trial):
-        seen.append((threading.get_ident(), trial))
-        return run_trial(cfg, trial)
+    def recording_rng_from(seed, trial):
+        seen.append(("draw", threading.get_ident(), trial))
+        return rng_from(seed, trial)
+
+    def recording_rebase_trial(rng, basis, oracle):
+        seen.append(("rebase", threading.get_ident(), len(basis.rows)))
+        return rebase_trial(rng, basis, oracle)
 
     monkeypatch.setattr("os.cpu_count", lambda: 4)
-    monkeypatch.setattr(campaign, "run_trial", recording_run_trial)
-    cfg = campaign.CampaignConfig(rank=3, trials=6, threads=4, checks=("L0iii",))
+    monkeypatch.setattr(campaign, "rng_from", recording_rng_from)
+    monkeypatch.setattr(campaign, "_rebase_trial", recording_rebase_trial)
+    cfg = campaign.CampaignConfig(rank=3, trials=6, threads=4, checks=("L0iii", "rebase"))
     rows, _ = campaign.run_campaign(cfg)
-    assert seen == [(threading.get_ident(), t) for t in range(6)]
+    me = threading.get_ident()
+    assert seen == [("draw", me, t) for t in range(6)] + [("rebase", me, 3)] * 6
     assert [r["trial"] for r in rows] == list(range(6))
 
 
@@ -670,9 +678,14 @@ def test_a_smaller_rank_reports_the_spec_violation(tmp_path, capsys):
 def test_campaign_summary_minimum_propagates_nan(monkeypatch):
     from boolnorm import campaign
 
+    check_block = campaign._check_block
     for radii in ([0.0625, float("nan")], [float("nan"), 0.0625]):
-        it = iter(radii)
-        monkeypatch.setattr(campaign, "min_separation", lambda basis, oracle: next(it))
+
+        def with_radii(tables, rows, names, radii=radii):
+            reports, ratios, _ = check_block(tables, rows, names)
+            return reports, ratios, np.array(radii)
+
+        monkeypatch.setattr(campaign, "_check_block", with_radii)
         cfg = campaign.CampaignConfig(rank=2, trials=2, checks=("L0iii",))
         rows, summary = campaign.run_campaign(cfg)
         assert [r["min_epsilon"] for r in rows] == [repr(x) for x in radii]

@@ -1297,7 +1297,7 @@ def test_graev_table_matches_the_strided_reference_bit_for_bit(kind, m, seed):
         spec = small_metric(m, rng.integers(1, 4, n_edges).tolist())
     else:
         spec = huge_metric(m, rng.choice([1e307, 1.7e308], n_edges).tolist())
-    table = _graev_table(spec.dist, m)
+    table = _graev_table(np.array(spec.dist)[None], m)[0]
     assert table.tobytes() == graev_table_reference(spec.dist, m).tobytes()
 
 
@@ -1306,9 +1306,60 @@ def test_graev_sums_past_the_float_range_stay_inf_quietly():
 
     # every pairing of three or more letters sums two 1.7e308 distances
     spec = huge_metric(4, [1.7e308] * 10)
-    table = _graev_table(spec.dist, 4)
+    table = _graev_table(np.array(spec.dist)[None], 4)[0]
     assert np.array_equal(np.isinf(table), [bin(g).count("1") >= 3 for g in range(16)])
     assert table.tobytes() == graev_table_reference(spec.dist, 4).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=1, max_value=6),
+    st.lists(st.sampled_from(["random", "ties", "huge"]), min_size=1, max_size=5),
+    st.integers(0, 10**6),
+)
+def test_stacked_tables_equal_their_separate_builds_bit_for_bit(rank, m, kinds, seed):
+    """A (T, ...) stack builds the T tables one build at a time would, with
+    the entries that overflow to inf, for metrics and weights alike."""
+    from boolnorm.norms import _graev_table, _weighted_table
+
+    m = min(m, rank)
+    rng = rng_from(seed)
+    n_edges = (rank + 1) * rank // 2
+    dists, weights = [], []
+    for kind in kinds:
+        if kind == "random":
+            dists.append(random_metric_spec(rng, rank).dist)
+            weights.append(rng.uniform(0.1, 10.0, rank))
+        elif kind == "ties":
+            dists.append(small_metric(rank, rng.integers(1, 4, n_edges).tolist()).dist)
+            weights.append(rng.integers(1, 4, rank).astype(float))
+        else:
+            dists.append(huge_metric(rank, rng.choice([1e307, 1.7e308], n_edges).tolist()).dist)
+            weights.append(rng.choice([1e307, 1.7e308], rank))
+    for build, stack in ((_graev_table, np.array(dists)), (_weighted_table, np.array(weights))):
+        tables = build(stack, m)
+        assert tables.shape == (len(kinds), 1 << m)
+        for table, one in zip(tables, stack):
+            assert table.tobytes() == build(one[None], m)[0].tobytes()
+
+
+
+def test_spec_oracles_keep_read_only_tables_of_their_rank():
+    """Each oracle of a stacked build keeps its row as a read-only table of
+    2**rank entries, the table its spec builds alone, and so does each of
+    its restrictions."""
+    from boolnorm.instances import random_weight_spec
+    from boolnorm.norms import _spec_oracles
+
+    for draw, build in ((random_metric_spec, graev_oracle), (random_weight_spec, weighted_oracle)):
+        specs = [draw(rng_from(5, t), 6) for t in range(3)]
+        for spec, oracle in zip(specs, _spec_oracles(specs, 6)):
+            table = oracle.table()
+            assert table.shape == (64,) and not table.flags.writeable
+            assert table.tobytes() == build(spec).table().tobytes()
+            small = restrict_oracle(oracle, 4).table()
+            assert small.shape == (16,) and not small.flags.writeable
 
 
 # SHA-256 of graev_oracle(random_metric_spec(rng_from(0, 20, 1, i), 20))
@@ -1335,7 +1386,7 @@ def test_graev_build_peak_stays_within_three_tables():
     spec = random_metric_spec(rng_from(0, 16), 16)
     tracemalloc.start()
     try:
-        table = _graev_table(spec.dist, 16)
+        table = _graev_table(np.array(spec.dist)[None], 16)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -634,33 +634,34 @@ def test_tolerance_zero_on_an_infinite_table_warns_of_nothing():
 
 def test_registry_builds_one_coordinate_view_per_stratum_check(monkeypatch, tmp_path):
     from boolnorm import cli, spec_to_json
-    from boolnorm.campaign import CHECK_NAMES, CampaignConfig, run_trial
+    from boolnorm.campaign import CHECK_NAMES, CampaignConfig, run_campaign
 
     oracle, basis = next(conforming_instances(10, 1, 908))
-    view, built = verification._coordinate_view, []
+    view, built = verification._view, []
 
-    def counting_view(basis, oracle):
-        built.append(len(basis.rows))
-        return view(basis, oracle)
+    def counting_view(vals):
+        built.append(vals.shape)
+        return view(vals)
 
-    monkeypatch.setattr(verification, "_coordinate_view", counting_view)
+    monkeypatch.setattr(verification, "_view", counting_view)
     for lemma in ("L2", "L3"):
         built.clear()
         report = verification.run_checks(basis, oracle, [lemma])[0][lemma]
         assert report.checked > 0
-        assert built == [10], lemma
-    # verify runs all five lemmas, and a campaign trial every check and the
-    # doubling ratio, over one view of its basis
+        assert built == [(1, 1 << 10)], lemma
+    # verify runs all five lemmas over one view of its basis
     spec, out = tmp_path / "spec.json", tmp_path / "out.json"
     drawn, _ = random_norm(rng_from(908, 1), 6, "closure")
     spec.write_text(json.dumps(spec_to_json(drawn)))
     built.clear()
     assert cli.main(["verify", "--norm", str(spec), "--rank", "6", "--out", str(out)]) == 0
-    assert built == [6]
+    assert built == [(1, 1 << 6)]
     assert set(json.loads(out.read_text())["checks"]) == set(verification.LEMMA_CHECKS)
+    # a campaign runs every check and the doubling ratio over one view per
+    # block of 2**13 >> rank trials
     built.clear()
-    row = run_trial(CampaignConfig(rank=6, trials=1, family="graev", checks=CHECK_NAMES), 0)
-    assert built == [6] and row["pass"] == "true"
+    rows, _ = run_campaign(CampaignConfig(rank=6, trials=200, family="graev", checks=CHECK_NAMES))
+    assert built == [(128, 1 << 6), (72, 1 << 6)] and rows[0]["pass"] == "true"
 
 
 def test_stratum_checkers_pass_a_rank_zero_basis(norm_a):
@@ -671,6 +672,20 @@ def test_stratum_checkers_pass_a_rank_zero_basis(norm_a):
         for tol in (0.0, -1e-9):
             for report in (checker(empty, norm_a, tol=tol), checker(empty, norm_a, 0, tol=tol)):
                 assert report.passed and report.checked == 0 and not report.violations
+
+
+def test_min_separation_of_a_rank_zero_basis_is_inf(norm_a):
+    """A rank-0 basis has no coordinate set, so its smallest radius is the
+    empty minimum, inf, as eps is inf at c = 0; the other checkers pass it
+    with nothing checked."""
+    from boolnorm import TriangularBasis
+
+    empty = TriangularBasis(())
+    assert min_separation(empty, norm_a) == float("inf")
+    for checker in (check_monotone_tail, check_geometric_bound, check_null_tail):
+        report = checker(empty, norm_a)
+        assert report.passed and report.checked == 0
+    assert worst_geometric_ratio(empty, norm_a) == 0.0
 
 
 @pytest.mark.parametrize("checker", [check_discreteness, check_closedness])
