@@ -4,7 +4,8 @@ Each trial draws a norm, reduces a basis, runs the requested checkers, and
 contributes one fixed-column CSV row; trials are independent and seeded per
 index, and run in order on the calling thread.  Trials run in blocks: a
 block stacks its norm tables, reduces and checks every basis in array passes
-over the stack, then rebases trial by trial.
+over the stack, then draws each trial's rebase and checks every witness in
+one pass.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .algebra import TriangularBasis
 from .instances import _SPEC_DRAWERS, NORM_FAMILIES, random_sequence, rng_from
 from .errors import RankTooLargeError
 from .norms import _CHUNK, EXHAUSTIVE_RANK_BOUND, NormOracle, _spec_oracles, restrict_oracle
-from .rebasing import build_second_basis, check_witnesses, verify_independence
+from .rebasing import _witness_failures, build_second_basis, f_iterates, verify_independence
 from .reduction import _reduced_rows
 from .verification import LEMMA_CHECKS, _check_block
 
@@ -80,26 +81,42 @@ def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _rebase_trial(rng, basis, oracle) -> bool:
+def _rebase_draw(rng, basis, oracle) -> tuple | None:
+    """A trial's rebase draws on its own generator: an approach sequence
+    and, when the rows it builds are independent, the combination masks to
+    witness, as the witness pass's (rows, iters, masks) item; None for
+    dependent rows."""
     seq = random_sequence(rng, basis, oracle)
     built = build_second_basis(basis, seq)
-    res = verify_independence(built)
-    if not res.independent:
-        return False
+    if not verify_independence(built).independent:
+        return None
     nrows = len(built.rows)
     if nrows <= 8:
-        combos = range(1, 1 << nrows)
+        masks = np.arange(1, 1 << nrows)
     else:
         # one draw of every sample, the same masks as one draw per sample
-        combos = rng.integers(1, 1 << nrows, size=REBASE_COMBO_SAMPLES)
-    return check_witnesses(built, basis, seq, combos)[1] == 0
+        masks = rng.integers(1, 1 << nrows, size=REBASE_COMBO_SAMPLES)
+    return built.rows, f_iterates(seq, basis.rank), masks
+
+
+def _rebased(rngs, bases, oracles) -> list[bool]:
+    """The rebase verdict of each trial of a block: its draws in trial
+    order, then one witness pass over every independent trial."""
+    draws = [
+        _rebase_draw(rng, TriangularBasis(tuple(rows)), oracle)
+        for rng, rows, oracle in zip(rngs, bases.tolist(), oracles)
+    ]
+    items = [d for d in draws if d is not None]
+    failures = iter(_witness_failures(items) if items else ())
+    return [d is not None and next(failures) == 0 for d in draws]
 
 
 def _run_block(cfg: CampaignConfig, trials: range) -> list[dict]:
     """The rows of the given trials.  Each draws its norm from its own
     generator, in trial order; the block reduces and checks every basis in
-    one pass per lemma; then each trial is rebased on its own generator.
-    The checks draw nothing, so every generator sees the draws a trial run
+    one pass per lemma; then each trial draws its rebase on its own
+    generator, in trial order, and one witness pass checks them all.  The
+    checks draw nothing, so every generator sees the draws a trial run
     alone would make."""
     rngs = [rng_from(cfg.seed, t) for t in trials]
     if cfg.norm is not None:
@@ -116,8 +133,9 @@ def _run_block(cfg: CampaignConfig, trials: range) -> list[dict]:
     bases, _ = _reduced_rows(tables)
     lemmas = [name for name in cfg.checks if name != "rebase"]
     reports, ratios, radii = _check_block(tables, bases, lemmas)
+    rebased = _rebased(rngs, bases, oracles) if "rebase" in cfg.checks else None
     rows = []
-    for b, (trial, rng, oracle) in enumerate(zip(trials, rngs, oracles)):
+    for b, trial in enumerate(trials):
         row: dict = {name: "" for name in CSV_COLUMNS}
         row["trial"] = trial
         row["family"] = family
@@ -126,8 +144,7 @@ def _run_block(cfg: CampaignConfig, trials: range) -> list[dict]:
         all_ok = True
         for name in cfg.checks:
             if name == "rebase":
-                basis = TriangularBasis(tuple(bases[b].tolist()))
-                passed = _rebase_trial(rng, basis, oracle)
+                passed = rebased[b]
                 found = int(not passed)
             else:
                 rep = reports[name][b]

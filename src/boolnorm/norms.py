@@ -474,8 +474,9 @@ def closure_norm(base: BaseCostTable) -> NormOracle:
     yet final, every candidate from a live label is at least
     fl(lo + cheapest part), so no live label at or below that sum can still
     improve: all of them are final at once.  The bucket relaxes in
-    ascending order, in chunks of 1, 2, 4, ... rows of at most 2**n
-    candidates in all, each one scatter through np.minimum.at.
+    ascending order, in chunks of 1, 2, 4, ... rows of at most
+    max(2**n, _CHUNK) candidates in all, each one scatter through
+    np.minimum.at.
 
     Only extensions priced below top, the largest value in the table, are
     relaxed: a candidate at or above top changes nothing.  A chunk's window
@@ -522,7 +523,7 @@ def _closure_table(base: BaseCostTable) -> np.ndarray:
                 m = _window_end(ascending, dist.item(rows[start]), top)
                 if not m:  # so is every later row's window
                     break
-                us = rows[start : start + min(width, size // m)]
+                us = rows[start : start + min(width, max(size, _CHUNK) // m)]
                 # A row past its own window adds candidates at or above top.
                 targets = us[:, None] ^ parts[:m]
                 np.minimum.at(dist, targets.ravel(), (dist[us, None] + ascending[:m]).ravel())

@@ -183,23 +183,55 @@ def witness_nonvanishing(
     return iters[m + 1]
 
 
-def _witness_letters(masks: np.ndarray, iters: list[int]) -> np.ndarray:
-    """witness_nonvanishing of every combination mask at once (bit i selects
-    row label i, every label below iters[-1]).  The top label is the mask's
-    exact bit length - 1 (bits smeared down, then counted); block k holds
-    labels [iters[k], iters[k+1]), and an even count of selected labels in
-    the top block gives the top label, an odd one iters[k+1].  Mask 1 is
-    block -1, letter 1."""
+def _witness_letters(masks: np.ndarray, tags: np.ndarray, iters: list[list[int]]) -> np.ndarray:
+    """witness_nonvanishing of every combination mask of a block at once:
+    masks[i] belongs to trial tags[i], whose f-iterates are iters[tags[i]]
+    (every one below 64), and bit j of it selects row label j, every label
+    below that trial's iters[-1].  The top label is the mask's exact bit
+    length - 1 (bits smeared down, then counted); block k of a trial holds
+    labels [iters[k], iters[k+1]), found by one searchsorted over the
+    trials' iterates on one axis, trial b's shifted by 64*b.  An even count
+    of selected labels in the top block gives the top label, an odd one
+    iters[k+1].  Mask 1 is block -1, letter 1."""
+    keys = np.array([64 * b + f for b, it in enumerate(iters) for f in it], dtype=np.int64)
+    bounds = keys & 63
     smear = masks
     for shift in (1, 2, 4, 8, 16, 32):
         smear = smear | smear >> shift
     top = np.bitwise_count(smear).astype(np.int64) - 1
-    bounds = np.array(iters, dtype=np.int64)
-    block = np.searchsorted(bounds, top, side="right") - 1
+    block = np.searchsorted(keys, top + 64 * tags, side="right") - 1
     inside = np.diff(1 << bounds)  # inside[k]: the labels of block k
-    # block -1 reads the last block here; its letter is 1 whatever that gives
+    # mask 1 reads the block before its trial's first here (the last block
+    # for trial 0); its letter is 1 whatever that gives
     odd = np.bitwise_count(masks & inside[block]) & 1 == 1
-    return np.where(block < 0, 1, np.where(odd, bounds[block + 1], top))
+    return np.where(top == 0, 1, np.where(odd, bounds[block + 1], top))
+
+
+def _witness_failures(items: list[tuple[tuple[int, ...], list[int], np.ndarray]]) -> list[int]:
+    """check_witnesses' failure count for each (rows, iters, masks) item of
+    a block: a trial's rebased rows, its f-iterates (iters[-1] <= 62) and an
+    int64 array of its combination masks, each in 1..2**min(len(rows),
+    iters[-1]) - 1.  The witnessed letter w of a mask occurs in the sum of
+    the selected rows iff an odd number of them hold it, so each trial's
+    rows are transposed once, into the labels holding each letter, and
+    every mask reads its letter's labels with one gather."""
+    b = len(items)
+    masks = np.concatenate([m for _, _, m in items])
+    tags = np.repeat(np.arange(b), [m.size for _, _, m in items])
+    wit = _witness_letters(masks, tags, [it for _, it, _ in items])
+    width = max(it[-1] for _, it, _ in items)
+    # rows[t, j]: row j of trial t, cut below its letter iters[-1], the
+    # largest any witness of the trial reads
+    rows = np.zeros((b, width), dtype=np.int64)
+    for t, (built, it, _) in enumerate(items):
+        low = (1 << it[-1]) - 1
+        cut = [row & low for row in built[: it[-1]]]
+        rows[t, : len(cut)] = cut
+    bit = np.arange(width)
+    # holds[t, w]: the labels of trial t whose row holds letter w + 1
+    holds = ((rows[:, :, None] >> bit & 1) << bit[:, None]).sum(axis=1)
+    odd = np.bitwise_count(masks & holds.ravel()[tags * width + wit - 1]) & 1
+    return np.bincount(tags[odd == 0], minlength=b).tolist()
 
 
 def check_witnesses(
@@ -212,9 +244,9 @@ def check_witnesses(
     combination mask (bit i selects row label i), the witnessed letter must
     occur in the sum of the selected rows.  Returns (checked, failures).
 
-    The masks are checked in one array pass; a mask outside 1..2**rows - 1,
-    or one that witness_nonvanishing would refuse, raises the error it
-    would, the first such mask first."""
+    The masks are checked in one array pass, a block of one trial; a mask
+    outside 1..2**rows - 1, or one that witness_nonvanishing would refuse,
+    raises the error it would, the first such mask first."""
     masks = [_index(m) for m in combo_masks]
     if not masks:
         return 0, 0
@@ -236,12 +268,7 @@ def check_witnesses(
         # refuses the mask with the error of the block argument
         witness_nonvanishing([i for i in range(len(rows)) if bad >> i & 1], basis, seq)
     arr = np.array(masks, dtype=np.int64)
-    total = np.zeros_like(arr)
-    low = (1 << iters[-1]) - 1
-    for label, row in enumerate(rows[: iters[-1]]):
-        total ^= -(arr >> label & 1) & (row & low)
-    wit = _witness_letters(arr, iters)
-    return len(masks), int(np.count_nonzero(total >> (wit - 1) & 1 == 0))
+    return len(masks), _witness_failures([(rows, iters, arr)])[0]
 
 
 def separation_profile(

@@ -46,15 +46,17 @@ class LemmaReport:
 class _View(NamedTuple):
     """Tables over the coordinate masks c < 2**r of a block of B bases of
     rank r, basis b in row b: vals[b, c] is the norm of the element c
-    selects, pop[c] its reduced length, eps[b, c] its separation radius, the
-    cheapest letter norm over 4**pop[c] (inf at c = 0), and scaled[b, c] the
-    largest of row_norm[b, j] / 2**k over its letters j, k the depth of j in
-    c (the letters of c above j; -inf at c = 0); row_norm[b, j] =
-    vals[b, 2**j].  pop is shared by the block."""
+    selects, pop[c] its reduced length, counts[k] the masks of length k,
+    eps[b, c] its separation radius, the cheapest letter norm over
+    4**pop[c] (inf at c = 0), and scaled[b, c] the largest of
+    row_norm[b, j] / 2**k over its letters j, k the depth of j in c (the
+    letters of c above j; -inf at c = 0); row_norm[b, j] = vals[b, 2**j].
+    pop and counts are shared by the block."""
 
     vals: np.ndarray
     row_norm: np.ndarray
     pop: np.ndarray
+    counts: np.ndarray
     eps: np.ndarray
     scaled: np.ndarray
 
@@ -75,7 +77,8 @@ def _view(vals: np.ndarray) -> _View:
         pop[1 << j : 2 << j] = pop[: 1 << j] + 1
         np.minimum(low[:, : 1 << j], row_norm[:, j, None], out=low[:, 1 << j : 2 << j])
         np.maximum(scaled[:, : 1 << j] * 0.5, row_norm[:, j, None], out=scaled[:, 1 << j : 2 << j])
-    return _View(vals, row_norm, pop, low / 4.0**pop, scaled)
+    counts = np.bincount(pop, minlength=r + 1)
+    return _View(vals, row_norm, pop, counts, low / 4.0**pop, scaled)
 
 
 def _coordinate_view(basis: Basis, oracle: NormOracle) -> _View:
@@ -121,7 +124,7 @@ def _doubling_report(view: _View, tol: float) -> list[LemmaReport]:
     norm is below 2**r times the smallest normal float; such a table, a NaN
     or inf, or tol < 0 scans every word of its basis.  `checked` counts
     every pair."""
-    vals, row_norm, pop, _, scaled = view
+    vals, row_norm, pop, _, _, scaled = view
     b, size = vals.shape
     r = row_norm.shape[1]
     small = np.abs(row_norm) < np.ldexp(np.finfo(float).tiny, r)
@@ -163,7 +166,7 @@ def _doubling_report(view: _View, tol: float) -> list[LemmaReport]:
 
 
 def _ratio(view: _View) -> list[float]:
-    vals, row_norm, _, _, scaled = view
+    vals, row_norm, *_, scaled = view
     r = row_norm.shape[1]
     if r < 2:
         return [0.0] * len(vals)
@@ -236,7 +239,7 @@ def _stratum_report(lemma: str, view: _View, n: int | None, tol: float) -> list[
     Scanned (basis, word) rows are taken a stratum at a time, in chunks of
     max(1, _CHUNK // len(partners)) rows, with one gather and one `exceeds`
     per chunk; `exceeds` answers each pair alike however pairs are grouped."""
-    vals, row_norm, pop, eps, _ = view
+    vals, row_norm, pop, counts, eps, _ = view
     b, size = vals.shape
     rank = row_norm.shape[1]
     if n is not None:
@@ -245,7 +248,6 @@ def _stratum_report(lemma: str, view: _View, n: int | None, tol: float) -> list[
             raise ValueError("stratum length must be >= 0")
         if n > rank:
             raise StratumRangeError(f"stratum length {n} exceeds rank {rank}")
-    counts = np.bincount(pop, minlength=rank + 1)
     same = lemma == "L2"
     # pairs[k]: the pairs of stratum k, with its other words or every shorter one
     pairs = counts * (counts - 1) if same else counts * (np.cumsum(counts) - counts)

@@ -6,6 +6,7 @@ trial's share of it must equal what the same kernels report for that trial
 alone (a block of one), and what the public single-basis functions report.
 """
 
+import hashlib
 import io
 import json
 import math
@@ -21,18 +22,22 @@ from boolnorm import (
     NormOracle,
     TriangularBasis,
     UnusableSequenceError,
+    build_second_basis,
     check_null_tail,
+    check_witnesses,
     closure_norm,
     min_separation,
     reduce_basis,
     reduce_basis_report,
     run_checks,
+    verify_independence,
     worst_geometric_ratio,
 )
 from boolnorm import campaign, verification
 from boolnorm.algebra import _spans
 from boolnorm.campaign import CHECK_NAMES, CampaignConfig, run_campaign, write_csv
-from boolnorm.instances import random_base_table, random_norm, rng_from
+from boolnorm.cli import main
+from boolnorm.instances import random_base_table, random_norm, random_sequence, rng_from
 from boolnorm.reduction import _reduced_rows
 
 TINY = np.finfo(float).tiny
@@ -160,6 +165,22 @@ def test_a_block_of_ties_reduces_to_the_smallest_supports():
     assert_reduce_matches_one_at_a_time(tables)
 
 
+def reference_rebase(rng, basis, oracle):
+    """A trial's rebase verdict from the public functions, one trial at a
+    time: its sequence, rows and masks drawn on its generator, then
+    check_witnesses."""
+    seq = random_sequence(rng, basis, oracle)
+    built = build_second_basis(basis, seq)
+    if not verify_independence(built).independent:
+        return False
+    nrows = len(built.rows)
+    if nrows <= 8:
+        combos = range(1, 1 << nrows)
+    else:
+        combos = rng.integers(1, 1 << nrows, size=campaign.REBASE_COMBO_SAMPLES)
+    return check_witnesses(built, basis, seq, combos)[1] == 0
+
+
 def reference_trial(cfg, trial):
     """One campaign row from the public single-basis functions: the trial
     loop campaigns ran before trials were run in blocks."""
@@ -177,7 +198,7 @@ def reference_trial(cfg, trial):
     violations, all_ok = 0, True
     for name in cfg.checks:
         if name == "rebase":
-            passed = campaign._rebase_trial(rng, basis, oracle)
+            passed = reference_rebase(rng, basis, oracle)
             found = int(not passed)
         else:
             passed, found = reports[name].passed, len(reports[name].violations)
@@ -249,3 +270,52 @@ def test_blocks_of_one_and_full_blocks_give_the_same_bytes(monkeypatch):
     assert [campaign_csv(cfg) for cfg in configs] == default
     errors = [out for out in default if out.startswith("UnusableSequenceError")]
     assert errors == ["UnusableSequenceError: no usable sequence after 10 draws"]
+
+
+# SHA-256 of the CSV that `campaign --family F --rank R --trials 40 --seed S
+# --checks L0iii,L1,L2,L3,L4,rebase` writes, keyed (S, R, F); None where the
+# campaign finds no usable sequence and exits 2 without a CSV.
+CAMPAIGN_CSV_SHA256 = {
+    (0, 3, "closure"): "9c8b68b5739aa3c71a70268dd9bc8f3864f0d9032a311ce798a6faa4321058e5",
+    (0, 3, "graev"): "9d317c935a947a1f0cf1e9c987fe19d514dbfcf2f33e83ec1e4567b145fff167",
+    (0, 3, "weighted"): "bb247b92b1f852adc07535e0e9cb9ced2263fabefb1ec85d7a8e1019060a87bf",
+    (0, 6, "closure"): "14a1a45842a2b7e49ce13d096e07ac554a52c9e2d0956d03b767157d92251024",
+    (0, 6, "graev"): "5ab85ad7130574b04b24415990692823d4363978bb60f86072b4169451ed1e8b",
+    (0, 6, "weighted"): "f3a381af83a0bcfb12d1082f82aab44e009e9d245482572a6702cbfbe5775ed5",
+    (0, 10, "closure"): "1b2acdc8a8ce2886cbd64c4b75b574ae7d9ec91c4864b2df0dff706bd1c8fdb4",
+    (0, 10, "graev"): "6d2f96cfe106bec925b0c9fb3267380f8e3cea4c77f99b62149ffec010a7e456",
+    (0, 10, "weighted"): "16d1b6186c0a8bf5761ae9611fc90ac8cab9a52d63268ae9f0fd3c1173e7cc7f",
+    (1, 3, "closure"): "0ef32ffc8a06f1dedff435a5c51413bde79bfb3a16e881954c9821c1a7b8ebf8",
+    (1, 3, "graev"): "85eb2292e056b3c9cd6013ff0ec08ce65740bbdc3ca3a071359e4315ebd9feea",
+    (1, 3, "weighted"): "706d1a7f75f0774189c69c7c31b9d7fdd04fde77ef21b37c16f77cc8ab3b5daf",
+    (1, 6, "closure"): "943a6ca02d2c20c97d18b3cf7c021cf921efcca9a0cfa5542a7421cb04645a5c",
+    (1, 6, "graev"): "686601ebc26c6fd7d3cbe18d334fc126f297ad3eaf3d0a7dc264ef93dc23e17b",
+    (1, 6, "weighted"): "453987e76f608c060ab75a7c9cb4d632d40aea7a5ddfb296bc643a58cf29a11d",
+    (1, 10, "closure"): "5acd5eb8969505d3730af955a347b0dc84f0b72edee8df85a08672cb1f4b4c5a",
+    (1, 10, "graev"): "4aa48402e9512866e1e0a40d4a2faaf8564f84714a0978684aa497dd0988f5d8",
+    (1, 10, "weighted"): "dc3e0f5079f2bc1c7770fb53a22f5f8181abed11ae16c30fda569ee748525470",
+    (7, 3, "closure"): None,
+    (7, 3, "graev"): "e6fa2883ce25cd33629c197f7cb242e0e8c51ecef4bc7d4bb16bee0dee492d93",
+    (7, 3, "weighted"): "a7c5fbecacc6b5d25aaced5838d3645c6958b901bce13d88c880fb1fc4eb3052",
+    (7, 6, "closure"): "bab6d391884c034106ccf69e631ace1c6389ff2933287f6a1f8ed95e0724ebdd",
+    (7, 6, "graev"): "38b6d139a0f989a3d6b55a14a80dee41101215f9b1d2b6d3a25277e13c88deaa",
+    (7, 6, "weighted"): "b486c4ed799760343538acc26a1d5fd7e72ec4cf4ec869344d43477d7aaa7020",
+    (7, 10, "closure"): "b464a332b64f68d4677f6a250e1b76216fce8ebc95634253854337151822d7c7",
+    (7, 10, "graev"): "c3ca58850747fb27bb6548722ad4117123621c8e99df94294849c4f6e0cfb0e9",
+    (7, 10, "weighted"): "e7d65540c7e80e5d6efeb54ebc3b707a792be80ab84d8d34f7b7d14b8966ae1f",
+}
+
+
+@pytest.mark.parametrize("seed, rank, family", sorted(CAMPAIGN_CSV_SHA256))
+def test_campaign_csvs_are_pinned(tmp_path, capsys, seed, rank, family):
+    out = tmp_path / "trials.csv"
+    args = ["campaign", "--family", family, "--rank", str(rank), "--trials", "40"]
+    args += ["--seed", str(seed), "--checks", ",".join(CHECK_NAMES), "--out", str(out)]
+    want = CAMPAIGN_CSV_SHA256[seed, rank, family]
+    if want is None:
+        assert main(args) == 2
+        assert "no usable sequence after 10 draws" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert main(args) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want

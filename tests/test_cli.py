@@ -197,28 +197,31 @@ def test_campaign_thread_count_does_not_change_bytes(tmp_path):
 def test_campaign_runs_every_trial_on_the_calling_thread(monkeypatch):
     """--threads is accepted and has no effect: even with threads=4 and four
     CPUs, every trial's generator is made on the caller's thread, in trial
-    order, and each trial is rebased there, in trial order."""
+    order, and each trial draws its rebase there, in trial order, on its
+    own generator."""
     import threading
 
     from boolnorm import campaign
 
-    seen, rng_from, rebase_trial = [], campaign.rng_from, campaign._rebase_trial
+    seen, trial_of, rng_from, rebase_draw = [], {}, campaign.rng_from, campaign._rebase_draw
 
     def recording_rng_from(seed, trial):
         seen.append(("draw", threading.get_ident(), trial))
-        return rng_from(seed, trial)
+        rng = rng_from(seed, trial)
+        trial_of[id(rng)] = trial
+        return rng
 
-    def recording_rebase_trial(rng, basis, oracle):
-        seen.append(("rebase", threading.get_ident(), len(basis.rows)))
-        return rebase_trial(rng, basis, oracle)
+    def recording_rebase_draw(rng, basis, oracle):
+        seen.append(("rebase", threading.get_ident(), trial_of[id(rng)]))
+        return rebase_draw(rng, basis, oracle)
 
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     monkeypatch.setattr(campaign, "rng_from", recording_rng_from)
-    monkeypatch.setattr(campaign, "_rebase_trial", recording_rebase_trial)
+    monkeypatch.setattr(campaign, "_rebase_draw", recording_rebase_draw)
     cfg = campaign.CampaignConfig(rank=3, trials=6, threads=4, checks=("L0iii", "rebase"))
     rows, _ = campaign.run_campaign(cfg)
     me = threading.get_ident()
-    assert seen == [("draw", me, t) for t in range(6)] + [("rebase", me, 3)] * 6
+    assert seen == [("draw", me, t) for t in range(6)] + [("rebase", me, t) for t in range(6)]
     assert [r["trial"] for r in rows] == list(range(6))
 
 

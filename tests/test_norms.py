@@ -349,8 +349,9 @@ def test_closure_matches_the_unwindowed_pass(rank, family, seed):
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 def test_closure_matches_the_unwindowed_pass_at_rank_12(family):
-    # The property above stops at rank 10.  Here the cap of 2**12 candidates
-    # cuts doubling chunks short in every family but ones and huge.
+    # The property above stops at rank 10.  Here the cap of 2**13 candidates
+    # (_CHUNK, above the table's 2**12 entries) still cuts doubling chunks
+    # short in every family but ones and huge.
     costs = np.concatenate([[0.0], cost_family(rng_from(12), family, (1 << 12) - 1)])
     table = closure_norm(BaseCostTable(12, costs)).table()
     assert table.tobytes() == label_setting_closure(costs).tobytes()
@@ -393,7 +394,8 @@ def count_window_ends(monkeypatch):
 
 def test_value_window_skips_most_of_both_kernels(monkeypatch):
     # On a rank-10 closure table both kernels stop early.  The closure
-    # relaxes 30 chunks here; one window per label would take 138.  The
+    # relaxes 8 chunks of at most 2**13 candidates here (29 under a cap of
+    # 2**10, the table's size); one window per label would take 138.  The
     # oracle itself passes by proof, so the scan runs on a spec-less copy.
     calls = count_window_ends(monkeypatch)
     oracle = closure_norm(random_base_table(rng_from(0, 10), 10))

@@ -337,7 +337,8 @@ def test_array_witnesses_match_the_per_mask_block_argument(instance, data):
         fixed.append(3 << (hi - 2) if hi - 2 >= lo else 1 << (hi - 1) | 1)
     drawn = data.draw(st.lists(st.integers(1, (1 << nrows) - 1), max_size=80))
     masks = fixed + drawn + drawn[: len(drawn) // 3]
-    got = rebasing._witness_letters(np.array(masks, dtype=np.int64), iters)
+    tags = np.zeros(len(masks), dtype=np.int64)  # a block of one trial
+    got = rebasing._witness_letters(np.array(masks, dtype=np.int64), tags, [iters])
     want = [
         witness_nonvanishing([i for i in range(nrows) if m >> i & 1], basis, seq) for m in masks
     ]
@@ -352,6 +353,34 @@ def test_array_witnesses_match_the_per_mask_block_argument(instance, data):
     failures = scalar_witness_failures(built, basis, seq, masks)
     assert check_witnesses(built, basis, seq, masks) == (len(masks), failures)
     assert check_witnesses(built, basis, seq, iter(masks)) == (len(masks), failures)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(sequences(), min_size=1, max_size=8), st.data())
+def test_a_block_witness_pass_counts_what_each_trial_counts_alone(instances, data):
+    """One witness pass over a block of trials of mixed ranks and iterate
+    counts, with repeated masks and at times one corrupt row per trial (some
+    wider than int64), gives each trial the failures of the per-mask loop
+    and of check_witnesses."""
+    from boolnorm import rebasing
+
+    items, want = [], []
+    for basis, seq in instances:
+        built = build_second_basis(basis, seq)
+        nrows = len(built.rows)
+        drawn = data.draw(st.lists(st.integers(1, (1 << nrows) - 1), min_size=1, max_size=40))
+        masks = drawn + drawn[: len(drawn) // 2]
+        if data.draw(st.booleans()):
+            rows = list(built.rows)
+            rows[data.draw(st.integers(0, nrows - 1))] = data.draw(
+                st.one_of(st.integers(0, (1 << basis.rank) - 1), st.integers(0, 1 << 70))
+            )
+            built = GeneralBasis(tuple(rows))
+        failures = scalar_witness_failures(built, basis, seq, masks)
+        assert check_witnesses(built, basis, seq, masks) == (len(masks), failures)
+        items.append((built.rows, f_iterates(seq, basis.rank), np.array(masks, dtype=np.int64)))
+        want.append(failures)
+    assert rebasing._witness_failures(items) == want
 
 
 @pytest.mark.parametrize("bad", [2.5, True, "3", 3.0])
