@@ -5,18 +5,23 @@ e_{k+1} + span(rows 1..k); ties go to the lexicographically smallest
 support, so reduction is deterministic for any fixed norm.  A reduced
 basis is unitriangular, so that coset is the contiguous slice of the dense
 norm table holding the masks whose top letter is k+1, and each row is read
-off its slice: no span of the earlier rows is ever formed.
+off its slice: no span of the earlier rows is ever formed.  A weighted or
+graev spec usually needs no table at all: where a bound on its float sums
+shows that every row is a word of at most two letters, the rows are read off
+the spec (_proved_rows), and the table is built only when some row is
+unproved.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Element, TriangularBasis, support
+from .algebra import Element, TriangularBasis, require_memory, support
 from .errors import NanNormError, SearchBoundExceededError
-from .norms import NormOracle, restrict_oracle
+from .norms import MetricSpec, NormOracle, WeightSpec, restrict_oracle
 
 DEFAULT_SEARCH_BOUND = 24
 
@@ -105,6 +110,59 @@ def _raise_nan(table: np.ndarray) -> None:
     raise NanNormError(f"norm of {support(g)} is NaN; the coset minimum is undefined")
 
 
+def _proved_rows(spec, r: int) -> tuple[list[Element], list[float]] | None:
+    """The rows and row norms of the reduced basis of a weighted or graev
+    spec on generators 1..r, bit for bit those the table search finds, read
+    off the spec; None for any other spec or when some row is unproved."""
+    # Rounded addition is monotone and fl(a + 0) = a, so a rounded sum of
+    # positive terms, nested in any order, is at least fl(a + b) for any two
+    # of its terms a, b.  Each row k is proved when every word of three or
+    # more letters is strictly dearer than the cheapest word of at most two.
+    if isinstance(spec, WeightSpec):
+        # _weighted_table folds the weights in ascending letter order, so a
+        # mask with top letter k holds fl(t[S] + w_k) with S below k, and
+        # t[S] >= min_{j<k} w_j for S nonempty.  So every word longer than
+        # {k} is at least fl(least + w_k); where that exceeds t[{k}] = w_k,
+        # row k is {k}.  An absorbed weight can leave it equal, a tie that
+        # {j, k} may win.
+        weights = spec.weights[:r]
+        least = math.inf
+        for w in weights:
+            if not least + w > w:
+                return None
+            least = min(least, w)
+        return [1 << k for k in range(r)], list(weights)
+    if not isinstance(spec, MetricSpec):
+        return None
+    # _graev_table pairs the lowest letter and recurses, so {k} holds
+    # d(k, 0) and {j, k} holds min(fl(d(j, 0) + d(k, 0)), d(j, k)).  A word
+    # of three or more letters takes the least rounded sum over its pairings,
+    # and each pairing has at least two edges on points 0..k: letter k's,
+    # at least m_k = min_{x<k} d(k, x), and another, at least m, the least
+    # distance between distinct points 0..k.  So it is at least
+    # fl(m_k + m).  Where that exceeds the cheapest short word, row k is the
+    # lexicographically smallest tied short word: {j, k} with the least j,
+    # ahead of {k}.  Rows k <= 2 have no longer words.
+    d = spec.dist
+    m = math.inf
+    rows: list[Element] = []
+    norms: list[float] = []
+    for k in range(1, r + 1):
+        dk, top = d[k], 1 << (k - 1)
+        m_k = min(dk[:k])
+        m = min(m, m_k)
+        best, row = dk[0], top
+        for j in range(k - 1, 0, -1):  # downwards, so a tie goes to the least j
+            v = min(d[j][0] + dk[0], dk[j])
+            if v <= best:
+                best, row = v, top | 1 << (j - 1)
+        if k > 2 and not m_k + m > best:
+            return None
+        rows.append(row)
+        norms.append(best)
+    return rows, norms
+
+
 def reduce_basis_report(
     oracle: NormOracle, rank: int, *, prune: bool = False
 ) -> tuple[TriangularBasis, list[RowRecord]]:
@@ -114,9 +172,11 @@ def reduce_basis_report(
     of generator k+1 by span(rows 1..k).  The output is unitriangular by
     construction, so rows 1..k span exactly the masks below 2**k and the
     coset is the table slice [2**k, 2**(k+1)): the masks whose top letter
-    is k+1.  The plain search takes the minimum of that slice in place
-    (_reduced_rows on one table); the pruned one walks its members depth
-    first.
+    is k+1.  The plain search reads a weighted or graev spec's rows off the
+    spec where _proved_rows proves them, and otherwise takes the minimum of
+    each slice in place (_reduced_rows on one table); either way a row's
+    candidates_evaluated is its coset size, the coset the proof covers.  The
+    pruned search walks the slice's members depth first.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -124,14 +184,21 @@ def reduce_basis_report(
         raise ValueError(f"norm oracle covers rank {oracle.rank}, need {rank}")
     if rank > DEFAULT_SEARCH_BOUND:
         raise SearchBoundExceededError(f"rank {rank} exceeds search bound {DEFAULT_SEARCH_BOUND}")
-    table = restrict_oracle(oracle, rank).table()
     if not prune:
-        rows, norms = _reduced_rows(table[None])
+        # The table's memory guard comes first, so a proof refuses what the
+        # table build would.
+        require_memory(8 << rank, f"a rank-{rank} norm table")
+        proved = _proved_rows(oracle.spec, rank)
+        if proved is None:
+            table = restrict_oracle(oracle, rank).table()
+            proved = [a[0].tolist() for a in _reduced_rows(table[None])]
+        rows, norms = proved
         records = [
             RowRecord(k, support(elem), norm, 1 << (k - 1), 1 << (k - 1))
-            for k, (elem, norm) in enumerate(zip(rows[0].tolist(), norms[0].tolist()), 1)
+            for k, (elem, norm) in enumerate(zip(rows, norms), 1)
         ]
-        return TriangularBasis(tuple(rows[0].tolist())), records
+        return TriangularBasis(tuple(rows)), records
+    table = restrict_oracle(oracle, rank).table()
     pruned: list[Element] = []
     records = []
     for k in range(1, rank + 1):

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from boolnorm.cli import main
-from boolnorm.instances import random_base_table, rng_from
+from boolnorm.instances import random_base_table, random_metric_spec, random_weight_spec, rng_from
 from boolnorm.norms import spec_to_json
 
 SEQ = [[2], [1, 2, 3], [1, 3, 4], [2, 4, 5], [1, 5, 6], [6, 7], [3, 7, 8]]
@@ -23,13 +23,19 @@ GOLDEN = {
     "campaign_r10": "55173470e404fa7620d7a98b8fce77805d99ed39d3634c812a384c7be6cd47d0",
     "reduce": "ba01127656c04b6da9a210a88f6af264a7211e0758f0eed1ee7ff774445b752c",
     "reduce_prune": "0037324af787cdbeb8bf6e72c38b6e163a452fb22ff1efddd42dfaee6122debe",
+    "reduce_weighted": "a014466e7299344729ceb5fd4c0dae0a90383c9b15d16a3437b6265b7aa5d71e",
+    "reduce_graev": "3c8404fe7dc919b32df8d48ec35f88ebd4cfd933336b5673db74c1b1b637edac",
+    "verify_graev": "dbea94182d998902a7bd8abb66ac96276ac2f83994d1b5907ff43d998568c71e",
 }
 
 RUNS = {
     # name -> (CLI arguments before --out, expected exit code)
     "reduce": (["reduce", "--norm", "{norm}"], 0),
     "reduce_prune": (["reduce", "--norm", "{norm}", "--prune"], 0),
+    "reduce_weighted": (["reduce", "--norm", "{weighted}"], 0),
+    "reduce_graev": (["reduce", "--norm", "{graev}"], 0),
     "verify": (["verify", "--norm", "{norm}"], 0),
+    "verify_graev": (["verify", "--norm", "{graev}"], 0),
     "verify_basis": (["verify", "--norm", "{norm}", "--basis", "{basis}"], 1),
     "rebase": (["rebase", "--norm", "{norm}", "--seq", "{seq}"], 0),
     "campaign_r6": (
@@ -50,9 +56,16 @@ def _write_inputs(tmp_path):
         "norm": tmp_path / "norm.json",
         "basis": tmp_path / "basis.json",
         "seq": tmp_path / "seq.json",
+        "weighted": tmp_path / "weighted.json",
+        "graev": tmp_path / "graev.json",
     }
-    spec = spec_to_json(random_base_table(rng_from(4242, 0), 8))
-    paths["norm"].write_text(json.dumps(spec), encoding="utf-8")
+    specs = {
+        "norm": random_base_table(rng_from(4242, 0), 8),
+        "weighted": random_weight_spec(rng_from(4242, 1), 10),
+        "graev": random_metric_spec(rng_from(4242, 2), 10),
+    }
+    for key, spec in specs.items():
+        paths[key].write_text(json.dumps(spec_to_json(spec)), encoding="utf-8")
     paths["basis"].write_text(json.dumps(IDENTITY_BASIS), encoding="utf-8")
     paths["seq"].write_text(json.dumps(SEQ), encoding="utf-8")
     return {key: str(path) for key, path in paths.items()}

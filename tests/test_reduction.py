@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from boolnorm import (
     BaseCostTable,
+    MetricSpec,
     NanNormError,
     NormOracle,
     RankTooLargeError,
@@ -16,11 +18,13 @@ from boolnorm import (
     WeightSpec,
     reduce_basis,
     reduce_basis_report,
+    restrict_oracle,
     span_elements,
     support,
     table_norm,
     weighted_oracle,
 )
+from boolnorm import norms
 from boolnorm.instances import random_base_table, random_norm, rng_from
 from boolnorm.norms import closure_norm
 from boolnorm.reduction import DEFAULT_SEARCH_BOUND
@@ -287,9 +291,9 @@ def test_reduce_refuses_tables_beyond_physical_memory(monkeypatch):
 
 @pytest.mark.parametrize("family", ["weighted", "graev"])
 def test_plain_search_reads_the_table_in_place(family):
-    # on a prebuilt table the search allocates one slice-sized bool mask at
-    # a time, not a span of the earlier rows (8 bytes per coset member) or
-    # a gather of the table through it
+    # these specs' rows are proved (_proved_rows), so the search reads no
+    # table; test_plain_search_reads_a_table_oracle_in_place covers the
+    # slice search
     rank = 18
     _, oracle = random_norm(rng_from(26, rank), rank, family)
     oracle.table()
@@ -302,3 +306,137 @@ def test_plain_search_reads_the_table_in_place(family):
     assert peak < 2 << (rank - 1)
     assert [rec.coset_size for rec in records] == [1 << k for k in range(rank)]
     assert basis == reduce_basis(oracle, rank, prune=True)
+
+
+@pytest.mark.parametrize("family", ["weighted", "graev"])
+def test_plain_search_reads_a_table_oracle_in_place(family):
+    # on a table the search allocates one slice-sized bool mask at a time,
+    # not a span of the earlier rows (8 bytes per coset member) or a gather
+    # of the table through it
+    rank = 18
+    _, spec_oracle = random_norm(rng_from(26, rank), rank, family)
+    oracle = NormOracle(rank, table=spec_oracle.table())
+    tracemalloc.start()
+    try:
+        basis, records = reduce_basis_report(oracle, rank)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << (rank - 1)
+    assert [rec.coset_size for rec in records] == [1 << k for k in range(rank)]
+    assert (basis, records) == reduce_basis_report(spec_oracle, rank)
+
+
+def closed_metric(edges: np.ndarray) -> np.ndarray:
+    """The symmetric matrix edges closed under shortest paths: a metric
+    whenever its off-diagonal entries are positive.  Sums past the float
+    range are inf and never shorten a path."""
+    a = np.minimum(edges, edges.T)
+    np.fill_diagonal(a, 0.0)
+    with np.errstate(over="ignore"):
+        for k in range(len(a)):
+            a = np.minimum(a, np.add.outer(a[:, k], a[k, :]))
+    return a
+
+
+# Value strategies per family: log-uniform, tie-heavy integers, absorbing
+# (rounding swallows a small value beside a large one, with or without
+# ties) and overflowing (the sums of long words are inf).
+SPEC_VALUES = {
+    "log_uniform": st.floats(math.log(0.1), math.log(10.0)).map(math.exp),
+    "integer": st.integers(1, 3).map(float),
+    "unit": st.just(1.0),
+    "absorbing": st.floats(-80.0, 80.0).map(math.exp),
+    "absorbing_ties": st.sampled_from([1e-17, 1.0, 2.0]),
+    "overflowing": st.floats(1e307, 1.7e308),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_proved_rows_match_the_table_search(data):
+    # a weighted or graev spec's rows, read off the spec where _proved_rows
+    # proves them, equal the slice search on the spec's own table: rows, row
+    # norms and records, at ranks at or below the spec's, proved or not
+    family = data.draw(st.sampled_from(sorted(SPEC_VALUES)))
+    values = SPEC_VALUES[family]
+    spec_rank = data.draw(st.integers(1, 12))
+    rank = data.draw(st.integers(1, spec_rank))
+    if data.draw(st.booleans()):
+        spec = WeightSpec(data.draw(st.lists(values, min_size=spec_rank, max_size=spec_rank)))
+    else:
+        size = (spec_rank + 1) ** 2
+        flat = data.draw(st.lists(values, min_size=size, max_size=size))
+        # up to two edges short enough for a unit edge to absorb
+        for i in data.draw(st.lists(st.integers(0, size - 1), max_size=2)):
+            flat[i] = 1e-17
+        spec = MetricSpec(closed_metric(np.array(flat).reshape(spec_rank + 1, -1)))
+    oracle = NormOracle(spec.rank, spec=spec)
+    got = reduce_basis_report(oracle, rank)
+    table = restrict_oracle(oracle, rank).table()
+    assert got == reduce_basis_report(NormOracle(rank, table=table), rank)
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The ranks of every spec table built while the test runs."""
+    builds = []
+    real = norms._spec_tables
+
+    def spy(specs, m):
+        builds.append(m)
+        return real(specs, m)
+
+    monkeypatch.setattr(norms, "_spec_tables", spy)
+    return builds
+
+
+@pytest.mark.parametrize("family", ["weighted", "graev"])
+def test_proved_specs_build_no_table(family, table_builds):
+    rank = 16
+    spec, oracle = random_norm(rng_from(31, rank), rank, family)
+    basis, records = reduce_basis_report(oracle, rank)
+    assert table_builds == []
+    assert [rec.candidates_evaluated for rec in records] == [1 << k for k in range(rank)]
+    # the pruned walk still reads the table, once
+    assert reduce_basis_report(oracle, rank, prune=True)[0] == basis
+    assert table_builds == [rank]
+
+
+def test_an_absorbed_weight_falls_back_to_the_table(table_builds):
+    # fl(1e-17 + 1.0) = 1.0 ties {2}, and (1, 2) < (2,): the bound cannot
+    # prove row 2, so the table decides it
+    oracle = weighted_oracle(WeightSpec((1e-17, 1.0)))
+    basis, records = reduce_basis_report(oracle, 2)
+    assert table_builds == [2]
+    assert basis.rows == (0b01, 0b11)
+    assert [rec.norm for rec in records] == [1e-17, 1.0]
+
+
+@pytest.mark.parametrize("tiny, far", [((1, 2), 1.0), ((1, 0), 1.0), ((1, 2), 2.0)])
+def test_an_absorbed_distance_falls_back_to_the_table(tiny, far, table_builds):
+    # unit distances but d(tiny) = 1e-17 and d(3, 1) = d(3, 2) = far:
+    # {1, 2, 3} pairs the tiny edge with a unit one, fl(1e-17 + 1.0) = 1.0
+    # ties row 3's short words, and (1, 2, 3) is the smallest support.  The
+    # bound admits the tie and leaves row 3 to the table, whether the tiny
+    # edge is a letter's or the basepoint's, and whether letter 3's least
+    # edge is to a letter or (far = 2) to the basepoint.
+    d = [[0.0 if i == j else 1.0 for j in range(4)] for i in range(4)]
+    i, j = tiny
+    d[i][j] = d[j][i] = 1e-17
+    d[3][1] = d[1][3] = d[3][2] = d[2][3] = far
+    basis, records = reduce_basis_report(NormOracle(3, spec=MetricSpec(d)), 3)
+    assert table_builds == [3]
+    assert basis.rows == (0b001, 0b011, 0b111)
+    assert records[-1].norm == 1.0
+
+
+def test_a_unit_metric_proves_the_least_tied_pair(table_builds):
+    # every short word of row k costs 1 and every longer one at least 2, so
+    # each row is proved, and the tie goes to the smallest support, {1, k}
+    rank = 6
+    d = [[0.0 if i == j else 1.0 for j in range(rank + 1)] for i in range(rank + 1)]
+    basis, records = reduce_basis_report(NormOracle(rank, spec=MetricSpec(d)), rank)
+    assert table_builds == []
+    assert basis.rows == (1,) + tuple(1 | 1 << k for k in range(1, rank))
+    assert [rec.norm for rec in records] == [1.0] * rank
