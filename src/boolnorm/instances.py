@@ -86,10 +86,9 @@ def random_raw_sequence(rng: np.random.Generator, rank: int) -> list[int]:
     if rank < 3:
         raise ValueError("sequences need rank >= 3")
     count = int(rng.integers(2, min(SEQUENCE_MAX_TERMS, rank - 1) + 1))
-    tops = np.sort(rng.choice(np.arange(2, rank + 1), size=count, replace=False))
+    tops = sorted((rng.choice(rank - 1, size=count, replace=False) + 2).tolist())
     terms = []
     for t in tops:
-        t = int(t)
         lower = int(rng.integers(0, 1 << (t - 1)))
         terms.append(lower | 1 << (t - 1))
     return terms

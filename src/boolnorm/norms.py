@@ -596,17 +596,20 @@ def check_norm_axioms(oracle: NormOracle, *, tol: float = RELATIVE_TOLERANCE) ->
     to relative tolerance tol >= 0.  The first violating case (in mask
     order) is reported, and pairs_checked counts every pair covered.
 
+    An oracle passes at any rank, without its table, where its spec
+    certifies that the scan would pass (_certified): a closure of at most
+    14 generators at tol >= 2^-37; at tol >= 2^-40 (more from rank 64),
+    weights of finite sum, or a metric meeting the triangle inequality to
+    slack 2^-50 whose basepoint distances have a finite sum.  Any other
+    oracle is checked on its table, up to rank EXHAUSTIVE_RANK_BOUND.
+
     Subadditivity is scanned only inside a value window: t[g ^ h] is at
     most T = max(t), so a pair with t[g] + t[h] >= T cannot fail.  Rows
     are walked in ascending value order, each over the partners whose sum
-    with it stays below T, and the walk ends at the first empty row.
-
-    An oracle that keeps its spec passes subadditivity without the scan
-    where the spec's proof covers tol (see _proved): a closure at tol >=
-    2^-37, a weighted norm at tol >= 2^-40, and a graev norm at tol >= 2^-40
-    whose metric on points 0..rank meets the triangle inequality to slack
-    2^-50.  Each proof shows that the scan would pass."""
+    with it stays below T, and the walk ends at the first empty row."""
     n = oracle.rank
+    if _certified(oracle.spec, n, tol):
+        return AxiomReport(True, 4**n, None)
     if n > EXHAUSTIVE_RANK_BOUND:
         raise RankTooLargeError(
             f"axiom check needs 4**{n} pairs, bound is rank {EXHAUSTIVE_RANK_BOUND}"
@@ -671,7 +674,11 @@ def _proved(spec, n: int, tol: float) -> bool:
     checked that the table is 0 at 0 and finite and positive elsewhere."""
     # With u = 2^-53.  exceeds' slack is fl(tol * big) with big >= rhs; a
     # product that underflows matters only where every sum is subnormal and
-    # so exact.  The scan visits no pair whose rhs overflows.
+    # so exact.  The scan visits no pair whose rhs overflows.  The weighted
+    # and graev bounds below grow with n, so their floor is 2^-40 up to n =
+    # 63 and (n + 1) 2^-46 past it (1e-9 covers n <= 70367).  No spec in
+    # memory has 2^40 letters, so nu < 2^-13 and first-order bounds hold.
+    floor = max(2.0**-40, (n + 1) * 2.0**-46)
     if isinstance(spec, BaseCostTable):
         # A closure table t = _closure_table(spec) passes at any tol >= 2^-37,
         # and so does each restriction, whose pairs are pairs of t:
@@ -687,10 +694,11 @@ def _proved(spec, n: int, tol: float) -> bool:
         #   reaches g ^ h, so lhs = t[g ^ h] <= (t[g] + Σq)(1 + u)^k; and
         #   t[h] >= Σq (1 - u)^(k-1), rhs = fl(t[g] + t[h]) >=
         #   (t[g] + t[h])(1 - u), so lhs <= rhs ((1 + u) / (1 - u))^k;
-        # - at n <= 14 (_closure_table's bound) that factor is below
-        #   1 + 2^-38, which 2^-37 covers twice over and RELATIVE_TOLERANCE
-        #   about 270 times; g = h gives lhs 0.
-        return tol >= 2.0**-37
+        # - k < 2^spec.rank, and the proof assumes n <= spec.rank <= 14
+        #   (_closure_table's bound): there the factor is below 1 + 2^-38,
+        #   which 2^-37 covers twice over and RELATIVE_TOLERANCE about 270
+        #   times; g = h gives lhs 0.
+        return spec.rank <= EXHAUSTIVE_RANK_BOUND and tol >= 2.0**-37
     if isinstance(spec, WeightSpec):
         # The table is _weighted_table's build of spec.weights on n letters:
         # doubling writes the first 2^n entries from the first n weights
@@ -703,10 +711,10 @@ def _proved(spec, n: int, tol: float) -> bool:
         #   S_{g^h} <= S_g + S_h, and lhs = t[g ^ h] against
         #   rhs = fl(t[g] + t[h]) gives lhs - rhs <= (2γ_n + u)(S_g + S_h);
         # - the slack covers that once tol is about 2(n + 1)u (3e-15 at
-        #   n = 14), so 2^-40 leaves more than 100x margin.
+        #   n = 14), so the floor leaves more than 60x margin.
         # Below 2^-40 the table is scanned: at tol = 0 many weighted tables
         # fail by an ulp, e.g. weights (0.7, 1/3, 1.1, 0.1) at ({3}, {1, 4}).
-        return tol >= 2.0**-40
+        return tol >= floor
     if isinstance(spec, MetricSpec):
         # The table is _graev_table's build of spec.dist on n letters: the
         # first 2^n entries of a larger build read only letters up to n, in
@@ -730,49 +738,44 @@ def _proved(spec, n: int, tol: float) -> bool:
         #   N_D(g ^ h) <= (1 + 11u)^n S;
         # - so lhs = t[g ^ h] and rhs = fl(t[g] + t[h]) >= (1 - u)(1 - γ_n) S
         #   give lhs - rhs <= about (13n + 2)u S, 2.0e-14 S at n = 14, and
-        #   the slack at 2^-40 is at least about 2^-40 S, more than 40 times
-        #   that.
+        #   the slack at the floor is more than 40 times that at n = 14
+        #   and about 10 times past n = 63.
         # Metrics that MetricSpec admits with up to 1e-9 slack need not
         # pass: merging can spend that slack once per shared letter, past
         # the gate's own 1e-9, so they go to the scan.
         dist = np.array(spec.dist)[: n + 1, : n + 1]
-        return tol >= 2.0**-40 and _triangle_failure(dist, 2.0**-50) is None
+        return tol >= floor and _triangle_failure(dist, 2.0**-50) is None
     return False
 
 
-def _spec_certified(spec) -> bool:
-    """Whether the table spec builds at its full rank would pass
-    check_norm_axioms at RELATIVE_TOLERANCE, read off the spec without
-    building the table or scanning it, at any rank."""
+def _certified(spec, n: int, tol: float) -> bool:
+    """Whether the table spec builds on generators 1..n passes
+    check_norm_axioms at tol, read off the spec at any n without building
+    or scanning the table; False for no spec."""
     # Zero at zero holds for every builder.  Finite and positive: rounded
     # addition is monotone and fl(a + w) >= a for w >= 0, so a fold of a
     # subsequence of positive terms is positive and at most the fold of the
     # whole sequence, in the same order.
     # - weighted: every entry folds its weights in ascending letter order
-    #   (_weighted_table, weighted_norm), so the ascending fold of all the
-    #   weights bounds it;
+    #   (_weighted_table, weighted_norm), so the ascending fold of the first
+    #   n weights bounds it;
     # - graev: both builders pair the lowest letter and recurse on the rest,
     #   so pairing every letter of g with the basepoint folds D(i, 0) from
     #   g's top letter down, and t[g], the least pairing, is at most the
-    #   same fold over all the letters.  Distances off the diagonal are
+    #   same fold over letters n..1.  Distances off the diagonal are
     #   positive;
-    # - closure: _closure_table builds rank 14 at most, and 0 < t[g] <=
-    #   costs[g] < inf, as _proved shows.
-    # Subadditivity is _proved's, at rank n.  Its error bounds, (2n + 2)u
-    # for weighted and (13n + 2)u for graev, stay 10 times below
-    # RELATIVE_TOLERANCE up to n = 2^16.
+    # - closure: 0 < t[g] <= costs[g] < inf, as _proved shows.
+    # Subadditivity is _proved's, at n, which holds a closure to rank 14.
     if isinstance(spec, WeightSpec):
-        terms: tuple[float, ...] = spec.weights
+        terms: tuple[float, ...] = spec.weights[:n]
     elif isinstance(spec, MetricSpec):
-        terms = tuple(row[0] for row in reversed(spec.dist[1:]))
-    elif isinstance(spec, BaseCostTable):
-        terms = ()
+        terms = tuple(row[0] for row in spec.dist[n:0:-1])
     else:
-        return False
+        terms = ()
     top = 0.0
     for x in terms:
         top += x
-    return top < math.inf and spec.rank <= 1 << 16 and _proved(spec, spec.rank, RELATIVE_TOLERANCE)
+    return top < math.inf and _proved(spec, n, tol)
 
 
 def parse_norm_spec(data: Mapping) -> WeightSpec | MetricSpec | BaseCostTable:

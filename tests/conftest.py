@@ -1,6 +1,6 @@
 import pytest
 
-from boolnorm import BaseCostTable, TriangularBasis, table_norm
+from boolnorm import BaseCostTable, MetricSpec, TriangularBasis, norms, table_norm
 
 
 @pytest.fixture
@@ -44,3 +44,38 @@ def slack_dist():
     d[2][4] = d[4][2] = (d[2][3] + d[3][4]) * (1 + eps)
     d[1][4] = d[4][1] = (d[1][3] + d[3][4]) * (1 + eps)
     return d
+
+
+@pytest.fixture
+def slack_wedge(slack_dist):
+    """slack_wedge(units): slack_dist's points 1..4 as generators units +
+    1..units + 4, wedged at the basepoint below units points at distance 1
+    from it and 2 from each other, so a distance across the two parts runs
+    through the basepoint."""
+
+    def wedge(units):
+        def point(p):
+            return p + units if p else 0
+
+        m = units + 5
+        dist = [[0.0] * m for _ in range(m)]
+        for i in range(1, units + 1):
+            for j in range(1, units + 1):
+                dist[i][j] = 2.0 if i != j else 0.0
+            dist[0][i] = dist[i][0] = 1.0
+            for p in range(1, 5):
+                dist[i][point(p)] = dist[point(p)][i] = 1.0 + slack_dist[0][p]
+        for p in range(5):
+            for q in range(5):
+                dist[point(p)][point(q)] = slack_dist[p][q]
+        return MetricSpec(dist)
+
+    return wedge
+
+
+@pytest.fixture
+def table_builds(monkeypatch):
+    """The rank of every spec table built while the test runs."""
+    builds, real = [], norms._spec_tables
+    monkeypatch.setattr(norms, "_spec_tables", lambda specs, m: builds.append(m) or real(specs, m))
+    return builds

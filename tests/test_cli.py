@@ -478,28 +478,15 @@ def test_gate_certifies_the_spec_above_the_exhaustive_bound(tmp_path, capsys, co
 
 
 def test_gate_refuses_a_metric_it_cannot_prove_above_the_exhaustive_bound(
-    tmp_path, capsys, slack_dist
+    tmp_path, capsys, slack_wedge
 ):
     # slack_dist on points 0..4 meets the triangle inequality only to 1e-9.
-    # Wedged at the basepoint below 14 points at distance 1 from it (a
-    # distance across the two parts runs through the basepoint), its points
-    # 1..4 become generators 15..18: the scan passes generators 1..14, and
-    # no proof covers the rest.
-    def point(p):
-        return p + 14 if p else 0
+    # Wedged below 14 unit points, its points 1..4 become generators
+    # 15..18: the scan passes generators 1..14, and no proof covers the
+    # rest.
+    from boolnorm.norms import spec_to_json
 
-    units = range(1, 15)
-    dist = [[0.0] * 19 for _ in range(19)]
-    for i in units:
-        for j in units:
-            dist[i][j] = 2.0 if i != j else 0.0
-        dist[0][i] = dist[i][0] = 1.0
-        for p in range(1, 5):
-            dist[i][point(p)] = dist[point(p)][i] = 1.0 + slack_dist[0][p]
-    for p in range(5):
-        for q in range(5):
-            dist[point(p)][point(q)] = slack_dist[p][q]
-    norm = write_json(tmp_path / "g.json", {"kind": "graev", "dist": dist})
+    norm = write_json(tmp_path / "g.json", spec_to_json(slack_wedge(14)))
     assert main(["reduce", "--norm", norm, "--out", str(tmp_path / "b.json")]) == 2
     assert "can neither prove nor scan the rest" in capsys.readouterr().err
     assert not (tmp_path / "b.json").exists()
@@ -630,13 +617,45 @@ def test_every_command_gates_each_kind_by_its_spec(tmp_path, gated, command, kin
     assert gated == [(5, 0)]
 
 
-def test_the_gate_restriction_keeps_the_spec(tmp_path, gated):
-    # Above the exhaustive bound the gate checks the rank-14 restriction,
-    # which passes by the spec's proof only if it kept the spec.
+def test_the_gate_certifies_a_spec_above_the_exhaustive_bound_at_its_own_rank(tmp_path, gated):
+    # Above the exhaustive bound a certified spec is gated once, on all its
+    # generators, with no scan row.
     weights = [1.0 + i / 16 for i in range(16)]
     norm = write_json(tmp_path / "w16.json", {"kind": "weighted", "weights": weights})
     assert main(["reduce", "--norm", norm, "--out", str(tmp_path / "out")]) == 0
-    assert gated == [(14, 0)]
+    assert gated == [(16, 0)]
+
+
+@pytest.mark.parametrize("family, stream, count", [("weighted", 0, 1), ("graev", 1, 3)])
+def test_a_plain_reduce_of_a_rank_20_spec_builds_no_table(
+    tmp_path, table_builds, family, stream, count
+):
+    # perfbench's reduce-r20 specs, drawn as it draws them: the gate
+    # certifies each from its spec and reduce reads its rows off the spec.
+    from boolnorm.instances import random_metric_spec, random_weight_spec, rng_from
+    from boolnorm.norms import spec_to_json
+
+    draw = {"weighted": random_weight_spec, "graev": random_metric_spec}[family]
+    for seed in (0, 7):
+        for i in range(count):
+            spec = draw(rng_from(seed, 20, stream, i), 20)
+            norm = write_json(tmp_path / "norm.json", spec_to_json(spec))
+            out = tmp_path / "out.json"
+            assert main(["reduce", "--norm", norm, "--out", str(out)]) == 0
+            assert len(read_json(out)["rows"]) == 20
+    assert table_builds == []
+
+
+def test_a_reduce_that_needs_a_table_still_builds_one(tmp_path, table_builds, norm_a_file):
+    # fl(1e-17 + 1.0) = 1.0 leaves row 2 unproved, and a closure is relaxed
+    # at load
+    norm = write_json(tmp_path / "w.json", {"kind": "weighted", "weights": [1e-17, 1.0]})
+    assert main(["reduce", "--norm", norm, "--out", str(tmp_path / "w.out")]) == 0
+    assert table_builds == [2]
+    assert read_json(tmp_path / "w.out")["basis"] == [[1], [1, 2]]
+    table_builds.clear()
+    assert main(["reduce", "--norm", norm_a_file, "--out", str(tmp_path / "c.out")]) == 0
+    assert table_builds == [2]
 
 
 # Points 0..3; the triangle (1, 2, 3) holds only to a relative 5e-10, which

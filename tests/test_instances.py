@@ -1,8 +1,10 @@
+import numpy as np
 import pytest
 
 from boolnorm import check_norm_axioms
 from boolnorm.instances import (
     NORM_FAMILIES,
+    SEQUENCE_MAX_TERMS,
     random_base_table,
     random_metric_spec,
     random_norm,
@@ -65,3 +67,19 @@ def test_random_base_table_refuses_a_table_memory_cannot_hold():
     # 2**40 float64 costs are 8 TiB: refused before numpy is asked for them
     with pytest.raises(RankTooLargeError, match="a rank-40 cost table needs"):
         random_base_table(rng_from(0, 0), 40)
+
+
+def test_raw_sequences_draw_as_the_array_choice_did():
+    # The tops were drawn as np.sort(rng.choice(np.arange(2, rank + 1), ...)),
+    # which picks the same numbers from the generator; the campaign's CSV
+    # pins depend on every draw, and on the draws after it.
+    def old_raw_sequence(rng, rank):
+        count = int(rng.integers(2, min(SEQUENCE_MAX_TERMS, rank - 1) + 1))
+        tops = np.sort(rng.choice(np.arange(2, rank + 1), size=count, replace=False))
+        return [int(rng.integers(0, 1 << (int(t) - 1))) | 1 << (int(t) - 1) for t in tops]
+
+    for rank in range(3, 25):
+        for seed in range(60):
+            new, old = rng_from(seed, rank), rng_from(seed, rank)
+            assert random_raw_sequence(new, rank) == old_raw_sequence(old, rank)
+            assert new.random() == old.random()

@@ -5,12 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from boolnorm import (
     EXHAUSTIVE_RANK_BOUND,
     RELATIVE_TOLERANCE,
+    AxiomReport,
     BaseCostTable,
     GeneralBasis,
     IndexOutOfRankError,
@@ -416,6 +417,17 @@ def test_closure_rank_bound():
         closure_norm(base)
     with pytest.raises(RankTooLargeError, match=r"axiom check needs 4\*\*15 pairs"):
         check_norm_axioms(table_norm(base))
+
+
+def test_the_certificate_never_vouches_for_an_unbuildable_closure():
+    # A closure spec above the exhaustive bound has no table and no proof,
+    # at its own rank or below it.
+    n = EXHAUSTIVE_RANK_BOUND + 1
+    base = BaseCostTable(n, (0.0,) + (1.0,) * ((1 << n) - 1))
+    with pytest.raises(RankTooLargeError, match=r"axiom check needs 4\*\*15 pairs"):
+        check_norm_axioms(NormOracle(n, spec=base))
+    with pytest.raises(RankTooLargeError, match=r"closure needs 2\*\*15 labels"):
+        check_norm_axioms(NormOracle(n - 1, spec=base))
 
 
 def test_base_cost_table_validation():
@@ -1506,11 +1518,11 @@ def test_dense_table_refuses_more_than_physical_memory():
 @settings(max_examples=120, deadline=None)
 @given(st.data(), st.sampled_from(["weighted", "random", "ties", "huge", "drawn"]))
 def test_a_certified_spec_passes_the_axiom_scan(data, kind):
-    # The gate certifies a spec above its gated rank without the table;
-    # every spec it certifies must pass the spec-less scan at the gate's
-    # tolerance.  A weighted spec is certified exactly when its table is
-    # finite.
-    from boolnorm.norms import _spec_certified
+    # check_norm_axioms passes a certified spec oracle without its table;
+    # every spec it certifies on generators 1..n must pass the spec-less
+    # scan of those generators at the gate's tolerance.  A weighted spec is
+    # certified exactly when its table is finite.
+    from boolnorm.norms import _certified
 
     if kind == "weighted":
         weights = data.draw(st.lists(positive_weights, min_size=1, max_size=10))
@@ -1532,19 +1544,127 @@ def test_a_certified_spec_passes_the_axiom_scan(data, kind):
         else:
             spec = huge_metric(rank, rng.choice([1e307, 1e308, 1.7e308], edges).tolist())
         oracle = graev_oracle(spec)
-    table = oracle.table()
-    certified = _spec_certified(oracle.spec)
+    # n below spec.rank too: a restriction keeps its parent's spec
+    n = data.draw(st.integers(1, oracle.rank))
+    table = oracle.table()[: 1 << n]
+    certified = _certified(oracle.spec, n, RELATIVE_TOLERANCE)
     if certified:
-        assert check_norm_axioms(NormOracle(oracle.rank, table=table)).passed
+        assert check_norm_axioms(NormOracle(n, table=table)).passed
     if kind == "weighted":
         assert certified == bool(np.isfinite(table).all())
-    # a restriction keeps its spec, and the certificate speaks for the spec
-    assert _spec_certified(restrict_oracle(oracle, 1).spec) == certified
-    assert not _spec_certified(NormOracle(oracle.rank, table=table).spec)
+    # the certificate speaks for the spec, so the restriction's is the same
+    # and an oracle without a spec has none
+    assert _certified(restrict_oracle(oracle, n).spec, n, RELATIVE_TOLERANCE) == certified
+    assert not _certified(NormOracle(n, table=table).spec, n, RELATIVE_TOLERANCE)
 
 
 def test_the_certificate_refuses_a_metric_with_admitted_slack(slack_dist):
-    from boolnorm.norms import _spec_certified
+    from boolnorm.norms import _certified
 
-    assert not _spec_certified(MetricSpec(slack_dist))
-    assert _spec_certified(BaseCostTable(2, (0.0, 1.0, 3.0, 2.0)))
+    spec = MetricSpec(slack_dist)
+    # the loose triangles join points 1..4, so generators 1..2 are certified
+    assert [_certified(spec, n, RELATIVE_TOLERANCE) for n in range(1, 5)] == [
+        True,
+        True,
+        False,
+        False,
+    ]
+    closure = BaseCostTable(2, (0.0, 1.0, 3.0, 2.0))
+    assert _certified(closure, 1, RELATIVE_TOLERANCE)
+    assert _certified(closure, 2, RELATIVE_TOLERANCE)
+    assert not _certified(closure, 2, np.nextafter(PROOF_FLOOR, 0.0))
+
+
+def test_the_certificate_floor_grows_past_rank_63():
+    # The weighted and graev rounding bounds grow with the rank, so from
+    # rank 64 the floor is (n + 1) 2^-46, and the gate's 1e-9 certifies
+    # weights up to rank 70367.
+    from boolnorm.norms import _certified
+
+    unit = [[float(i != j) for j in range(65)] for i in range(65)]
+    for spec in (WeightSpec((1.0,) * 64), MetricSpec(unit)):
+        assert _certified(spec, 63, 2.0**-40)
+        assert not _certified(spec, 64, 2.0**-40)
+        assert _certified(spec, 64, 65 * 2.0**-46)
+    spec = WeightSpec((1.0,) * 70368)
+    assert check_norm_axioms(NormOracle(70367, spec=spec)) == AxiomReport(True, 4**70367)
+    with pytest.raises(RankTooLargeError, match=r"axiom check needs 4\*\*70368 pairs"):
+        check_norm_axioms(NormOracle(70368, spec=spec))
+
+
+def old_gate(spec):
+    """The gate's refusal message, or None, as the gate read a spec when it
+    held two certificates: check_norm_axioms on generators 1..min(r, 14)
+    (the table's zero, finite and positive checks, then _proved or else the
+    scan), then above rank 14 a certificate of the whole spec."""
+    from boolnorm.norms import _proved
+
+    oracle = oracle_for(spec)
+    gated = min(oracle.rank, EXHAUSTIVE_RANK_BOUND)
+    table = restrict_oracle(oracle, gated).table()
+    valid = table[0] == 0.0 and np.isfinite(table).all() and (table[1:] > 0.0).all()
+    if not (valid and _proved(spec, gated, RELATIVE_TOLERANCE)):
+        v = check_norm_axioms(NormOracle(gated, table=table)).violation
+        if v is not None:
+            h = None if v.h is None else list(v.h)
+            return f"norm axioms fail ({v.axiom}) at g={list(v.g)}, h={h}: {v.lhs} > {v.rhs}"
+    if isinstance(spec, WeightSpec):
+        terms = spec.weights
+    else:
+        terms = tuple(row[0] for row in reversed(spec.dist[1:]))
+    top = 0.0
+    for x in terms:
+        top += x
+    whole = top < math.inf and _proved(spec, spec.rank, RELATIVE_TOLERANCE)
+    if oracle.rank > gated and not whole:
+        return (
+            f"norm axioms unchecked: the gate scanned generators 1..{gated} of a rank-"
+            f"{oracle.rank} {oracle.kind} spec and can neither prove nor scan the rest"
+        )
+    return None
+
+
+# tmp_path holds one spec file, rewritten by each example, and slack_wedge
+# only reads slack_dist.
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    st.sampled_from(
+        ["log-uniform", "integer", "absorbing", "1e308-tail", "random", "ties", "huge", "slack"]
+    ),
+    st.integers(min_value=1, max_value=16),
+    st.integers(0, 10**6),
+)
+@example("1e308-tail", 16, 0)
+@example("slack", 16, 0)
+def test_the_gate_reads_a_spec_as_its_two_certificates_did(tmp_path, slack_wedge, kind, rank, seed):
+    from boolnorm.cli import _load_norm
+
+    rng = rng_from(seed)
+    edges = (rank + 1) * rank // 2
+    if kind == "log-uniform":
+        spec = WeightSpec(np.exp(rng.uniform(np.log(0.1), np.log(10.0), rank)))
+    elif kind == "integer":
+        spec = WeightSpec(rng.integers(1, 4, rank).tolist())
+    elif kind == "absorbing":
+        spec = WeightSpec(rng.choice([1e-17, 1.0], rank).tolist())
+    elif kind == "1e308-tail":
+        head = int(rng.integers(0, rank + 1))
+        spec = WeightSpec(rng.uniform(0.5, 2.0, head).tolist() + [1e308] * (rank - head))
+    elif kind == "random":
+        spec = random_metric_spec(rng, rank)
+    elif kind == "ties":
+        spec = small_metric(rank, rng.integers(1, 4, edges).tolist())
+    elif kind == "huge":
+        spec = huge_metric(rank, rng.choice([1e307, 1e308, 1.7e308], edges).tolist())
+    else:
+        spec = slack_wedge(max(0, rank - 4))
+    path = tmp_path / "norm.json"
+    path.write_text(json.dumps(spec_to_json(spec)), encoding="utf-8")
+    try:
+        _load_norm(str(path))
+        message = None
+    except ValueError as exc:
+        message = str(exc)
+    assert message == old_gate(spec)

@@ -24,7 +24,6 @@ from boolnorm import (
     table_norm,
     weighted_oracle,
 )
-from boolnorm import norms
 from boolnorm.instances import random_base_table, random_norm, rng_from
 from boolnorm.norms import closure_norm
 from boolnorm.reduction import DEFAULT_SEARCH_BOUND
@@ -375,20 +374,6 @@ def test_proved_rows_match_the_table_search(data):
     got = reduce_basis_report(oracle, rank)
     table = restrict_oracle(oracle, rank).table()
     assert got == reduce_basis_report(NormOracle(rank, table=table), rank)
-
-
-@pytest.fixture
-def table_builds(monkeypatch):
-    """The ranks of every spec table built while the test runs."""
-    builds = []
-    real = norms._spec_tables
-
-    def spy(specs, m):
-        builds.append(m)
-        return real(specs, m)
-
-    monkeypatch.setattr(norms, "_spec_tables", spy)
-    return builds
 
 
 @pytest.mark.parametrize("family", ["weighted", "graev"])
