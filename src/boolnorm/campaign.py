@@ -17,9 +17,17 @@ from typing import IO
 import numpy as np
 
 from .algebra import TriangularBasis
-from .instances import _SPEC_DRAWERS, NORM_FAMILIES, random_sequence, rng_from
+from .instances import _SPEC_DRAWERS, NORM_FAMILIES, _random_metrics, _random_sequence, rng_from
 from .errors import RankTooLargeError
-from .norms import _CHUNK, EXHAUSTIVE_RANK_BOUND, NormOracle, _spec_oracles, restrict_oracle
+from .norms import (
+    _CHUNK,
+    EXHAUSTIVE_RANK_BOUND,
+    NormOracle,
+    _graev_table,
+    _metric_failure,
+    _spec_tables,
+    restrict_oracle,
+)
 from .rebasing import _witness_failures, build_second_basis, f_iterates, verify_independence
 from .reduction import _reduced_rows
 from .verification import LEMMA_CHECKS, _check_block
@@ -81,12 +89,28 @@ def _fmt_bool(value: bool) -> str:
     return "true" if value else "false"
 
 
-def _rebase_draw(rng, basis, oracle) -> tuple | None:
-    """A trial's rebase draws on its own generator: an approach sequence
-    and, when the rows it builds are independent, the combination masks to
-    witness, as the witness pass's (rows, iters, masks) item; None for
-    dependent rows."""
-    seq = random_sequence(rng, basis, oracle)
+def _drawn_tables(family: str, rank: int, rngs, trials: range) -> np.ndarray:
+    """The (B, 2**rank) table stack of the trials whose norms are drawn on
+    rngs, in trial order.  A graev block's metrics are drawn, closed under
+    shortest paths and validated as one stack, with no MetricSpec, and its
+    tables are built from that array; a weighted or closure block builds
+    its specs' tables as one stack."""
+    if family != "graev":
+        return _spec_tables([_SPEC_DRAWERS[family](rng, rank) for rng in rngs], rank)
+    dist = _random_metrics(rngs, rank)
+    failure = _metric_failure(dist)
+    if failure is not None:
+        raise ValueError(f"trial {trials[failure[0]]}: {failure[1]}")
+    return _graev_table(dist, rank)
+
+
+def _rebase_draw(rng, basis, row_norms) -> tuple | None:
+    """A trial's rebase draws on its own generator: an approach sequence,
+    whose parity letters are ranked by row_norms (the basis rows' norms,
+    from the block's reduce), and, when the rows it builds are independent,
+    the combination masks to witness, as the witness pass's (rows, iters,
+    masks) item; None for dependent rows."""
+    seq = _random_sequence(rng, basis.rank, row_norms.__getitem__)
     built = build_second_basis(basis, seq)
     if not verify_independence(built).independent:
         return None
@@ -99,12 +123,12 @@ def _rebase_draw(rng, basis, oracle) -> tuple | None:
     return built.rows, f_iterates(seq, basis.rank), masks
 
 
-def _rebased(rngs, bases, oracles) -> list[bool]:
+def _rebased(rngs, bases, row_norms) -> list[bool]:
     """The rebase verdict of each trial of a block: its draws in trial
     order, then one witness pass over every independent trial."""
     draws = [
-        _rebase_draw(rng, TriangularBasis(tuple(rows)), oracle)
-        for rng, rows, oracle in zip(rngs, bases.tolist(), oracles)
+        _rebase_draw(rng, TriangularBasis(tuple(rows)), norms)
+        for rng, rows, norms in zip(rngs, bases.tolist(), row_norms.tolist())
     ]
     items = [d for d in draws if d is not None]
     failures = iter(_witness_failures(items) if items else ())
@@ -113,27 +137,29 @@ def _rebased(rngs, bases, oracles) -> list[bool]:
 
 def _run_block(cfg: CampaignConfig, trials: range) -> list[dict]:
     """The rows of the given trials.  Each draws its norm from its own
-    generator, in trial order; the block reduces and checks every basis in
-    one pass per lemma; then each trial draws its rebase on its own
-    generator, in trial order, and one witness pass checks them all.  The
-    checks draw nothing, so every generator sees the draws a trial run
-    alone would make."""
+    generator, in trial order, and the block builds their tables as one
+    stack (_drawn_tables); the block reduces and checks every basis in one
+    pass per lemma; then each trial draws its rebase on its own generator,
+    in trial order, reading its row norms off the block's reduce, and one
+    witness pass checks them all.  The checks draw nothing, so every
+    generator sees the draws a trial run alone would make.  No norm value
+    is read through an oracle's __call__."""
     rngs = [rng_from(cfg.seed, t) for t in trials]
     if cfg.norm is not None:
-        family, oracles = cfg.norm.kind, [cfg.norm] * len(trials)
+        family = cfg.norm.kind
         # every trial reads the same prefix: broadcast, not copied
         prefix = restrict_oracle(cfg.norm, cfg.rank).table()
         tables = np.broadcast_to(prefix, (len(trials), prefix.size))
     else:
         family = cfg.family
-        oracles = _spec_oracles([_SPEC_DRAWERS[family](rng, cfg.rank) for rng in rngs], cfg.rank)
-        # the stack is read back through each oracle's public table(), so
-        # perfbench's tracer, which wraps it, sees one table read per trial
-        tables = np.stack([oracle.table() for oracle in oracles])
-    bases, _ = _reduced_rows(tables)
+        stack = _drawn_tables(family, cfg.rank, rngs, trials)
+        # the stack is read back through each trial's table(), so perfbench's
+        # tracer, which wraps it, sees one table read per trial
+        tables = np.stack([NormOracle(cfg.rank, table=row).table() for row in stack])
+    bases, row_norms = _reduced_rows(tables)
     lemmas = [name for name in cfg.checks if name != "rebase"]
     reports, ratios, radii = _check_block(tables, bases, lemmas)
-    rebased = _rebased(rngs, bases, oracles) if "rebase" in cfg.checks else None
+    rebased = _rebased(rngs, bases, row_norms) if "rebase" in cfg.checks else None
     rows = []
     for b, trial in enumerate(trials):
         row: dict = {name: "" for name in CSV_COLUMNS}

@@ -18,7 +18,7 @@ from .norms import (
     WeightSpec,
     oracle_for,
 )
-from .rebasing import ApproachSequence, normalize_sequence
+from .rebasing import ApproachSequence, _normalized
 
 COST_LOW = 0.1
 COST_HIGH = 10.0
@@ -44,15 +44,23 @@ def random_weight_spec(rng: np.random.Generator, rank: int) -> WeightSpec:
 
 def random_metric_spec(rng: np.random.Generator, rank: int) -> MetricSpec:
     """Random metric on rank+1 points: symmetric log-uniform edge costs,
-    closed under shortest paths so the triangle inequality holds."""
+    closed under shortest paths so the triangle inequality holds: the
+    stacked draw of _random_metrics at B = 1, which MetricSpec validates."""
+    return MetricSpec(_random_metrics([rng], rank)[0])
+
+
+def _random_metrics(rngs, rank: int) -> np.ndarray:
+    """One random metric per generator, as random_metric_spec draws it, as
+    a (B, rank+1, rank+1) stack: each generator draws its edge costs in
+    order, then one pass over the stack keeps the cheaper direction of each
+    edge and closes it under shortest paths, one point at a time."""
     m = rank + 1
-    a = _log_uniform(rng, (m, m))
-    a = np.minimum(a, a.T)
-    np.fill_diagonal(a, 0.0)
+    a = np.stack([_log_uniform(rng, (m, m)) for rng in rngs])
+    a = np.minimum(a, a.swapaxes(1, 2))
+    a[:, range(m), range(m)] = 0.0
     for k in range(m):
-        a = np.minimum(a, np.add.outer(a[:, k], a[k, :]))
-    np.fill_diagonal(a, 0.0)
-    return MetricSpec(a)
+        np.minimum(a, a[:, :, k, None] + a[:, None, k, :], out=a)
+    return a
 
 
 def random_base_table(rng: np.random.Generator, rank: int) -> BaseCostTable:
@@ -98,11 +106,16 @@ def random_sequence(
     rng: np.random.Generator, basis: Basis, oracle: NormOracle
 ) -> ApproachSequence:
     """Draw raw material until it normalizes to a usable sequence."""
-    rank = len(basis.rows)
+    rows = basis.rows
+    return _random_sequence(rng, len(rows), lambda i: oracle(rows[i]))
+
+
+def _random_sequence(rng: np.random.Generator, rank: int, row_norm) -> ApproachSequence:
+    """random_sequence over the basis whose row i has norm row_norm(i)."""
     for _ in range(SEQUENCE_ATTEMPTS):
         raw = random_raw_sequence(rng, rank)
         try:
-            return normalize_sequence(raw, basis, oracle)
+            return _normalized(raw, rank, row_norm)
         except UnusableSequenceError:
             continue
     raise UnusableSequenceError(f"no usable sequence after {SEQUENCE_ATTEMPTS} draws")

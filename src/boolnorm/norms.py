@@ -83,53 +83,66 @@ class MetricSpec:
             raise ValueError("metric needs the basepoint plus at least one generator")
         if any(len(row) != m for row in d):
             raise ValueError("distance matrix must be square")
-        a = np.array(d)
-        # The first failing entry in row-major order, row i's diagonal before
-        # its columns, and per entry the tests in the order reported here.
-        diagonal = a.diagonal() != 0.0
-        bad_value = ~np.isfinite(a) | (a < 0.0)
-        zero_off = (a == 0.0) & ~np.eye(m, dtype=bool)
-        failed = bad_value | zero_off | (a != a.T)
-        rows = diagonal | failed.any(axis=1)
-        if rows.any():
-            i = int(rows.argmax())
-            if diagonal[i]:
-                raise ValueError(f"dist({i},{i}) must be 0")
-            j = int(failed[i].argmax())
-            if bad_value[i, j]:
-                raise ValueError(f"dist({i},{j}) must be a finite nonnegative real")
-            if zero_off[i, j]:
-                raise ValueError(f"dist({i},{j}) must be positive off the diagonal")
-            raise ValueError(f"dist({i},{j}) != dist({j},{i})")
-        failure = _triangle_failure(a, RELATIVE_TOLERANCE)
+        failure = _metric_failure(np.array(d)[None])
         if failure is not None:
-            i, j, k = failure
-            raise ValueError(
-                f"triangle inequality fails at ({i},{j},{k}): "
-                f"{d[i][k]} > {d[i][j]} + {d[j][k]}"
-            )
+            raise ValueError(failure[1])
 
     @property
     def rank(self) -> int:
         return len(self.dist) - 1
 
 
-def _triangle_failure(a: np.ndarray, tol: float) -> tuple[int, int, int] | None:
-    """The first (i, j, k) in row-major order with d(i,k) > d(i,j) + d(j,k)
-    beyond relative slack tol, or None.  A sum past the float range is a
-    bound that no finite distance beats, so it passes.  Rows i are read in
-    blocks of max(1, _CHUNK // m**2), so a block holds at most _CHUNK
-    triples unless it is a single row."""
-    m = len(a)
-    step = max(1, _CHUNK // (m * m))
-    for lo in range(0, m, step):
-        with np.errstate(over="ignore"):
-            bound = a[lo : lo + step, :, None] + a  # [i, j, k]: d(i,j) + d(j,k)
-        bad = exceeds(a[lo : lo + step, None, :], bound, tol) & (bound < np.inf)
-        if bad.any():
-            i, j, k = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            return lo + int(i), int(j), int(k)
-    return None
+def _metric_failure(a: np.ndarray, tol: float = RELATIVE_TOLERANCE) -> tuple[int, str] | None:
+    """The first matrix of the stack a (B, m, m) that is not a metric, as
+    (b, the message MetricSpec raises for a[b] alone), or None.  Each
+    matrix is checked entry by entry first, then for the triangle
+    inequality d(i,k) <= d(i,j) + d(j,k) up to relative slack tol; a sum
+    past the float range is a bound that no finite distance beats, so it
+    passes.  The triangles are read in chunks of whole matrices, or of
+    max(1, _CHUNK // m**2) rows of one matrix, so a chunk holds at most
+    _CHUNK triples unless it is a single row."""
+    first = _entry_failure(a)  # its masks are freed before the scan
+    m = a.shape[1]
+    rows = max(1, _CHUNK // (m * m))
+    step = max(1, rows // m)  # matrices per chunk
+    # only the matrices before the first entry failure have a triangle test
+    stop = len(a) if first is None else first[0]
+    for lo in range(0, stop, step):
+        d = a[lo : min(lo + step, stop)]
+        for top in range(0, m, rows):
+            with np.errstate(over="ignore"):
+                bound = d[:, top : top + rows, :, None] + d[:, None]  # [b, i, j, k]
+            bad = exceeds(d[:, top : top + rows, None, :], bound, tol) & (bound < np.inf)
+            if bad.any():
+                b, i, j, k = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                b, i, j, k = lo + int(b), top + int(i), int(j), int(k)
+                return b, (
+                    f"triangle inequality fails at ({i},{j},{k}): "
+                    f"{a.item(b, i, k)} > {a.item(b, i, j)} + {a.item(b, j, k)}"
+                )
+    return first
+
+
+def _entry_failure(a: np.ndarray) -> tuple[int, str] | None:
+    """The first matrix of the stack a with a bad entry, and its message:
+    the first failing entry in row-major order, row i's diagonal before its
+    columns, and per entry the tests in the order reported here."""
+    m = a.shape[1]
+    # good: 0 on the diagonal; positive, finite and symmetric off it
+    good = (a > 0.0) & (a < np.inf) & (a == a.swapaxes(1, 2))
+    good.reshape(len(a), -1)[:, :: m + 1] = a.diagonal(axis1=1, axis2=2) == 0.0
+    if good.all():
+        return None
+    b, i = divmod(int(good.all(axis=2).argmin()), m)
+    if a.item(b, i, i) != 0.0:
+        return b, f"dist({i},{i}) must be 0"
+    j = int(good[b, i].argmin())
+    x = a.item(b, i, j)
+    if not (math.isfinite(x) and x >= 0.0):
+        return b, f"dist({i},{j}) must be a finite nonnegative real"
+    if x == 0.0:
+        return b, f"dist({i},{j}) must be positive off the diagonal"
+    return b, f"dist({i},{j}) != dist({j},{i})"
 
 
 @dataclass(frozen=True)
@@ -335,15 +348,6 @@ def _spec_tables(specs, m: int) -> np.ndarray:
     if isinstance(spec, MetricSpec):
         return _graev_table(np.array([s.dist for s in specs]), m)
     return np.stack([_closure_table(s) for s in specs])
-
-
-def _spec_oracles(specs, m: int) -> list[NormOracle]:
-    """Rank-m oracles of rank-m specs of one kind, their tables built as
-    one (B, 2**m) stack (_spec_tables): oracle b keeps row b."""
-    oracles = [NormOracle(m, spec=spec) for spec in specs]
-    for oracle, row in zip(oracles, _spec_tables(specs, m)):
-        oracle._keep(row)
-    return oracles
 
 
 def weighted_norm(spec: WeightSpec, g: Element) -> float:
@@ -744,7 +748,7 @@ def _proved(spec, n: int, tol: float) -> bool:
         # pass: merging can spend that slack once per shared letter, past
         # the gate's own 1e-9, so they go to the scan.
         dist = np.array(spec.dist)[: n + 1, : n + 1]
-        return tol >= floor and _triangle_failure(dist, 2.0**-50) is None
+        return tol >= floor and _metric_failure(dist[None], 2.0**-50) is None
     return False
 
 

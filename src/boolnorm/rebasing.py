@@ -19,6 +19,7 @@ import numpy as np
 from .algebra import Basis, GeneralBasis, TriangularBasis, _index, gf2_rank
 from .errors import (
     InvalidIndexError,
+    NanNormError,
     RankTooLargeError,
     SequenceTooShortError,
     UnusableSequenceError,
@@ -54,19 +55,22 @@ class ApproachSequence:
             raise ValueError("first term must be the single letter at its top index")
 
 
-def _fix_parity(term: int, basis: Basis, oracle: NormOracle) -> int | None:
+def _fix_parity(term: int, rank: int, row_norm) -> int | None:
     # Add one unused letter to make the size odd.  Prefer letters below the
     # current top index (so f is preserved) and among those the cheapest
     # row norm, then the smallest index; fall back to letters above the top.
-    rows = basis.rows
-    rank = len(rows)
+    # Letter j's row norm is row_norm(j - 1); a NaN among the candidates'
+    # leaves the cheapest undefined.
     top = term.bit_length()
     below = [j for j in range(1, top) if not term >> (j - 1) & 1]
-    above = [j for j in range(top + 1, rank + 1)]
-    pool = below or above
+    pool = below or list(range(top + 1, rank + 1))
     if not pool:
         return None
-    j = min(pool, key=lambda i: (oracle(rows[i - 1]), i))
+    costs = [row_norm(j - 1) for j in pool]
+    for j, cost in zip(pool, costs):
+        if cost != cost:
+            raise NanNormError(f"norm of row {j} is NaN; the cheapest parity letter is undefined")
+    j = min(zip(costs, pool))[1]
     return term | 1 << (j - 1)
 
 
@@ -79,9 +83,15 @@ def normalize_sequence(
     letter (terms with no letter available are dropped); keep the greedy
     subsequence with strictly increasing top index starting at >= 2; replace
     the first survivor by the single letter at its top index.  Fails when
-    fewer than two terms survive.
+    fewer than two terms survive.  The oracle is asked only for the row
+    norms of the letters a term could take.
     """
-    rank = len(basis.rows)
+    rows = basis.rows
+    return _normalized(raw_terms, len(rows), lambda i: oracle(rows[i]))
+
+
+def _normalized(raw_terms: Sequence[int], rank: int, row_norm) -> ApproachSequence:
+    """normalize_sequence over the basis whose row i has norm row_norm(i)."""
     if not raw_terms:
         raise UnusableSequenceError("sequence is empty")
     fixed: list[int] = []
@@ -92,7 +102,7 @@ def normalize_sequence(
         if t >> rank:
             raise UnusableSequenceError(f"term {i} uses coordinates above rank {rank}")
         if t.bit_count() % 2 == 0:
-            patched = _fix_parity(t, basis, oracle)
+            patched = _fix_parity(t, rank, row_norm)
             if patched is None:
                 continue
             t = patched

@@ -319,3 +319,23 @@ def test_campaign_csvs_are_pinned(tmp_path, capsys, seed, rank, family):
     else:
         assert main(args) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want
+
+
+@pytest.mark.parametrize("family", ["closure", "graev", "weighted"])
+def test_a_campaign_reads_no_norm_value_through_an_oracle_call(monkeypatch, family):
+    """Every check, the rebase draws included, reads the block's tables and
+    the row norms of its reduce: NormOracle.__call__ is never called, and a
+    graev block builds no MetricSpec."""
+    from boolnorm import norms
+
+    calls, call = [], NormOracle.__call__
+    monkeypatch.setattr(NormOracle, "__call__", lambda self, g: calls.append(g) or call(self, g))
+    specs, init = [], norms.MetricSpec.__post_init__
+    monkeypatch.setattr(norms.MetricSpec, "__post_init__", lambda self: specs.append(self) or init(self))
+    _, oracle = random_norm(rng_from(0), 6, family)
+    random_sequence(rng_from(0), reduce_basis(oracle, 6), oracle)
+    assert calls  # the spy sees the public draw's calls
+    calls.clear()
+    specs.clear()
+    rows, _ = run_campaign(CampaignConfig(rank=6, trials=20, family=family, checks=CHECK_NAMES))
+    assert len(rows) == 20 and calls == [] and specs == []

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boolnorm import check_norm_axioms
 from boolnorm.instances import (
+    COST_HIGH,
+    COST_LOW,
     NORM_FAMILIES,
     SEQUENCE_MAX_TERMS,
     random_base_table,
@@ -83,3 +87,38 @@ def test_raw_sequences_draw_as_the_array_choice_did():
             new, old = rng_from(seed, rank), rng_from(seed, rank)
             assert random_raw_sequence(new, rank) == old_raw_sequence(old, rank)
             assert new.random() == old.random()
+
+
+def old_metric_dist(rng, rank):
+    """random_metric_spec's draw as one matrix: an outer sum per step."""
+    m = rank + 1
+    a = np.exp(rng.uniform(np.log(COST_LOW), np.log(COST_HIGH), size=(m, m)))
+    a = np.minimum(a, a.T)
+    np.fill_diagonal(a, 0.0)
+    for k in range(m):
+        a = np.minimum(a, np.add.outer(a[:, k], a[k, :]))
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 14),
+    st.integers(0, 10**6),
+    st.lists(st.integers(0, 10**4), min_size=1, max_size=8),
+)
+def test_a_stacked_metric_draw_is_each_trials_own_draw(rank, seed, trials):
+    """Matrix b of a stacked draw is bit for bit the metric that
+    random_metric_spec, and the outer-sum reference, draw on trial b's
+    generator alone, and every generator is left where they leave it."""
+    from boolnorm.instances import _random_metrics
+
+    rngs = [rng_from(seed, t) for t in trials]
+    stack = _random_metrics(rngs, rank)
+    assert stack.shape == (len(trials), rank + 1, rank + 1)
+    for rng, t, dist in zip(rngs, trials, stack):
+        alone, old = rng_from(seed, t), rng_from(seed, t)
+        want = random_metric_spec(alone, rank).dist
+        assert dist.tobytes() == np.array(want).tobytes()
+        assert old_metric_dist(old, rank).tobytes() == dist.tobytes()
+        assert rng.random() == alone.random() == old.random()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -1139,9 +1140,9 @@ def reference_triangle_failure(a, tol):
     return None
 
 
-def reference_metric_message(dist):
+def reference_metric_message(dist, tol=RELATIVE_TOLERANCE):
     """The message MetricSpec raises for a square matrix of floats, or None,
-    from entry-by-entry loops in row-major order."""
+    from entry-by-entry loops in row-major order; its triangles at tol."""
     d, m = dist, len(dist)
     for i in range(m):
         if d[i][i] != 0.0:
@@ -1154,7 +1155,7 @@ def reference_metric_message(dist):
                 return f"dist({i},{j}) must be positive off the diagonal"
             if x != d[j][i]:
                 return f"dist({i},{j}) != dist({j},{i})"
-    failure = reference_triangle_failure(np.array(d), RELATIVE_TOLERANCE)
+    failure = reference_triangle_failure(np.array(d), tol)
     if failure is not None:
         i, j, k = failure
         return f"triangle inequality fails at ({i},{j},{k}): {d[i][k]} > {d[i][j]} + {d[j][k]}"
@@ -1197,8 +1198,9 @@ def draw_metric_matrix(data):
 @given(st.data())
 def test_metric_validation_matches_the_entry_by_entry_reference(data):
     """Same exception and message as the reference, and the same first
-    triangle at three tolerances, with blocks of rows that split a 2-8
-    point matrix anywhere (a chunk of 1, 40 or 100 triples) or not at all."""
+    failure from the validation kernel at three tolerances, with blocks of
+    rows that split a 2-8 point matrix anywhere (a chunk of 1, 40 or 100
+    triples) or not at all."""
     from boolnorm import norms
 
     dist = draw_metric_matrix(data)
@@ -1211,17 +1213,19 @@ def test_metric_validation_matches_the_entry_by_entry_reference(data):
             with pytest.raises(ValueError) as info:
                 MetricSpec(dist)
             assert type(info.value) is ValueError and str(info.value) == want
-        a = np.array(dist)
+        a = np.array(dist)[None]
         for tol in (0.0, 1e-9, 2.0**-50):
-            assert norms._triangle_failure(a, tol) == reference_triangle_failure(a, tol), tol
+            at_tol = reference_metric_message(dist, tol)
+            assert norms._metric_failure(a, tol) == (None if at_tol is None else (0, at_tol)), tol
 
 
 def test_triangle_check_of_a_large_metric_holds_no_more_than_one_row():
-    """At 100 points a block is a single row, so the blocked scan's
-    tracemalloc peak stays at the per-row reference's: the same 80 KB
-    buffers, give or take the few bytes of the longer shape records of
-    3-D arrays."""
-    from boolnorm.norms import _CHUNK, _triangle_failure
+    """At 100 points a block is a single row, so the validation kernel's
+    tracemalloc peak stays at the per-row triangle reference's: the same
+    80 KB buffers, give or take the few bytes of the longer shape records
+    of 4-D arrays.  The entry checks' masks are freed before the triangle
+    scan."""
+    from boolnorm.norms import _CHUNK, _metric_failure
 
     rng = np.random.default_rng(24)
     m = 100
@@ -1230,7 +1234,7 @@ def test_triangle_check_of_a_large_metric_holds_no_more_than_one_row():
     d = np.minimum(d, d.T)
     np.fill_diagonal(d, 0.0)
     peaks = []
-    for scan in (reference_triangle_failure, _triangle_failure):
+    for scan in (reference_triangle_failure, lambda a, tol: _metric_failure(a[None], tol)):
         tracemalloc.start()
         try:
             assert scan(d, RELATIVE_TOLERANCE) is None
@@ -1360,18 +1364,19 @@ def test_stacked_tables_equal_their_separate_builds_bit_for_bit(rank, m, kinds, 
 
 
 def test_spec_oracles_keep_read_only_tables_of_their_rank():
-    """Each oracle of a stacked build keeps its row as a read-only table of
-    2**rank entries, the table its spec builds alone, and so does each of
-    its restrictions."""
+    """A spec's oracle keeps the row of a stacked build of its spec as a
+    read-only table of 2**rank entries, and so does each of its
+    restrictions."""
     from boolnorm.instances import random_weight_spec
-    from boolnorm.norms import _spec_oracles
+    from boolnorm.norms import _spec_tables
 
     for draw, build in ((random_metric_spec, graev_oracle), (random_weight_spec, weighted_oracle)):
         specs = [draw(rng_from(5, t), 6) for t in range(3)]
-        for spec, oracle in zip(specs, _spec_oracles(specs, 6)):
+        for spec, row in zip(specs, _spec_tables(specs, 6)):
+            oracle = build(spec)
             table = oracle.table()
             assert table.shape == (64,) and not table.flags.writeable
-            assert table.tobytes() == build(spec).table().tobytes()
+            assert table.tobytes() == row.tobytes()
             small = restrict_oracle(oracle, 4).table()
             assert small.shape == (16,) and not small.flags.writeable
 
@@ -1668,3 +1673,54 @@ def test_the_gate_reads_a_spec_as_its_two_certificates_did(tmp_path, slack_wedge
     except ValueError as exc:
         message = str(exc)
     assert message == old_gate(spec)
+
+
+def corrupt(a, how, i, j):
+    """Break the metric a in place in one way, at (i, j), i != j."""
+    if how == "diagonal":
+        a[i, i] = 0.5
+    elif how == "nan":
+        a[i, j] = math.nan
+    elif how == "negative":
+        a[i, j] = a[j, i] = -1.0
+    elif how == "zero":
+        a[i, j] = a[j, i] = 0.0
+    elif how == "asymmetric":
+        a[i, j] *= 3.0
+    else:  # a triangle through any third point fails
+        a[i, j] = a[j, i] = 100.0
+
+
+CORRUPTIONS = ("diagonal", "nan", "negative", "zero", "asymmetric", "triangle")
+
+
+@pytest.mark.parametrize("how", CORRUPTIONS)
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_a_block_refusal_names_the_first_bad_metric_as_metric_spec_would(how, data):
+    """Trial b of a stack of clean metrics broken in one of six ways, and a
+    later trial broken in any way: the validation kernel, in chunks that
+    split the stack anywhere, and a graev campaign block refuse trial b
+    with the message MetricSpec gives for its matrix alone."""
+    from boolnorm import campaign, norms
+    from boolnorm.instances import _random_metrics
+
+    size = data.draw(st.integers(1, 6))
+    stack = _random_metrics([rng_from(33, t) for t in range(size)], 4)
+    assert norms._metric_failure(stack) is None
+    b = data.draw(st.integers(0, size - 1))
+    i, j = data.draw(st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True))
+    corrupt(stack[b], how, i, j)
+    if b + 1 < size:
+        later = data.draw(st.sampled_from(CORRUPTIONS))
+        k, l = data.draw(st.lists(st.integers(0, 4), min_size=2, max_size=2, unique=True))
+        corrupt(stack[data.draw(st.integers(b + 1, size - 1))], later, k, l)
+    with pytest.raises(ValueError) as alone:
+        MetricSpec(stack[b])
+    want = str(alone.value)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(norms, "_CHUNK", data.draw(st.sampled_from([1, 25, 125, 250, norms._CHUNK])))
+        assert norms._metric_failure(stack) == (b, want)
+        patch.setattr(campaign, "_random_metrics", lambda rngs, rank: stack)
+        with pytest.raises(ValueError, match=re.escape(f"trial {16 + b}: {want}")):
+            campaign._drawn_tables("graev", 4, [None] * size, range(16, 16 + size))

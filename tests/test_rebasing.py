@@ -492,3 +492,73 @@ def test_witness_nonvanishing_matches_the_block_partition_reference(instance, da
     want = outcome(reference_witness, combo, basis, seq)
     assert outcome(witness_nonvanishing, combo, basis, seq) == want
     assert outcome(witness_nonvanishing, iter(combo), basis, seq) == want
+
+
+@pytest.mark.parametrize("row_norms", [(float("nan"), 5.0), (5.0, float("nan"))])
+def test_a_nan_row_norm_among_the_parity_letters_raises(row_norms):
+    """Term {3, 4} takes letter 1 or 2 to make its size odd; a NaN row norm
+    among the two leaves the cheaper undefined, whichever letter holds it
+    (min by comparison would pick letter 1 in both orders)."""
+    from boolnorm import NanNormError, NormOracle
+
+    table = [0.0, *row_norms] + [1.0] * 13
+    oracle = NormOracle(4, table=table)
+    basis = TriangularBasis((1, 2, 4, 8))
+    nan_letter = 1 + row_norms.index(next(x for x in row_norms if x != x))
+    with pytest.raises(NanNormError, match=f"norm of row {nan_letter} is NaN"):
+        normalize_sequence([0b10, 0b1100], basis, oracle)
+    # a NaN row outside the candidates is not read: the term of the NaN
+    # letter and letter 3 can take only the other letter
+    term = 1 << (nan_letter - 1) | 0b100
+    assert normalize_sequence([0b10, term], basis, oracle).terms == (0b10, 0b111)
+
+
+def reference_normalize(raw_terms, basis, oracle):
+    """normalize_sequence as one loop over the terms, each parity letter
+    chosen by min over (oracle value of its row, letter)."""
+    rows, rank = basis.rows, len(basis.rows)
+    fixed = []
+    for t in raw_terms:
+        if t.bit_count() % 2 == 0:
+            top = t.bit_length()
+            pool = [j for j in range(1, top) if not t >> (j - 1) & 1]
+            pool = pool or list(range(top + 1, rank + 1))
+            if not pool:
+                continue
+            t |= 1 << (min(pool, key=lambda j: (oracle(rows[j - 1]), j)) - 1)
+        if t.bit_length() > (fixed[-1].bit_length() if fixed else 1):
+            fixed.append(t)
+    if len(fixed) < 2:
+        raise UnusableSequenceError(f"only {len(fixed)} usable term(s) survive normalization")
+    fixed[0] = 1 << (fixed[0].bit_length() - 1)
+    return ApproachSequence(tuple(fixed))
+
+
+@settings(max_examples=200, deadline=None)
+@given(sequences(), st.data())
+def test_the_row_norm_path_normalizes_as_the_oracle_path(instance, data):
+    """Row norms from a list, as a campaign reads them off its reduce, give
+    the sequence that the oracle gives normalize_sequence, and the
+    reference's, with row norms from two values, so the cheapest letter
+    often ties and goes to the least index; and so does a random draw."""
+    from boolnorm import NormOracle, rebasing
+    from boolnorm.instances import _random_sequence
+
+    basis, seq = instance
+    rank = basis.rank
+    # some terms lose or gain a letter, so their size is even
+    raw = [t ^ data.draw(st.sampled_from([0, 0, 1 << data.draw(st.integers(0, rank - 1))]))
+           for t in seq.terms]
+    raw = [t for t in raw if t] or [1]
+    norms = data.draw(st.lists(st.sampled_from([1.0, 2.0]), min_size=rank, max_size=rank))
+    table = np.full(1 << rank, 3.0)
+    table[0] = 0.0
+    table[[1 << i for i in range(rank)]] = norms  # the identity basis's rows
+    oracle = NormOracle(rank, table=table)
+    want = outcome(reference_normalize, raw, basis, oracle)
+    assert outcome(normalize_sequence, raw, basis, oracle) == want
+    assert outcome(rebasing._normalized, raw, rank, norms.__getitem__) == want
+    if rank >= 3:
+        seed = data.draw(st.integers(0, 10**6))
+        want = outcome(random_sequence, rng_from(seed), basis, oracle)
+        assert outcome(_random_sequence, rng_from(seed), rank, norms.__getitem__) == want
